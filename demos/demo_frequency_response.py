@@ -4,7 +4,7 @@ For the series benchmark the closed-loop error system (disturbance in,
 estimation error out) is evaluated on a log-spaced frequency grid for both
 filters with the squeezing-parameter perturbation at its design value.
 The coherent-classical filter should sit below the classical one across the
-band, and the peak gains reported by the bisection algorithm should match
+band, and the peak gains reported by the level-set iteration should match
 the grid maxima.
 """
 
@@ -32,7 +32,7 @@ def main():
         }
         print(f"{w:10.3f} {mags['classical']:12.5f} {mags['coherent']:12.5f}")
 
-    print("\npeak gains (bisection over the bounded-real test):")
+    print("\npeak gains (level-set iteration on the bounded-real Hamiltonian):")
     for k, ss in loops.items():
         norm, peak = hinf_norm(ss, allow_unstable=True, return_frequency=True)
         print(f"  {k:10s}: {norm:.5f} at omega = {peak:+.3f} rad/s")

@@ -138,7 +138,10 @@ def cmd_synthesize(config, outdir):
 
 
 def cmd_bode(config, outdir):
-    study = build_study(config)
+    return _write_bode(build_study(config), config, outdir, "bode")
+
+
+def _write_bode(study, config, outdir, command):
     if not study.has_controller:
         raise ValueError("bode needs a coherent_classical* topology (two curves)")
     omegas = _frequency_grid(config)
@@ -160,7 +163,7 @@ def cmd_bode(config, outdir):
             writer.writerow([f"{w:.12g}", f"{mag:.12g}", f"{db:.12g}", label])
     _write_meta(
         outdir,
-        "bode",
+        command,
         config,
         {"delta": delta, "n_frequencies": len(omegas)},
     )
@@ -168,9 +171,9 @@ def cmd_bode(config, outdir):
     return EXIT_OK
 
 
-def _run_sweep(study, config):
+def _run_sweep(study, config, rel_tol=1e-6):
     deltas = _delta_grid(config)
-    classical, coherent = study.sweep(deltas)
+    classical, coherent = study.sweep(deltas, rel_tol=rel_tol)
     return deltas, classical, coherent
 
 
@@ -190,11 +193,11 @@ def _write_sweep_csv(outdir, deltas, classical, coherent):
     return cls, coh
 
 
-def cmd_sweep(config, outdir):
+def cmd_sweep(config, outdir, rel_tol):
     study = build_study(config)
     if not study.has_controller:
         raise ValueError("sweep needs a coherent_classical* topology (two columns)")
-    deltas, classical, coherent = _run_sweep(study, config)
+    deltas, classical, coherent = _run_sweep(study, config, rel_tol)
     _write_sweep_csv(outdir, deltas, classical, coherent)
     _write_meta(outdir, "sweep", config, {"n_deltas": len(deltas)})
     print(f"wrote {outdir / 'sweep.csv'}")
@@ -209,7 +212,7 @@ def cmd_reproduce(preset, outdir):
     study = build_study(config)
     failures = []
     if kind == "bode":
-        cmd_bode(config, outdir)
+        _write_bode(study, config, outdir, f"reproduce:{preset}")
         delta = study.delta_design
         n_cls = hinf_norm(study.classical_closed_loop(delta), allow_unstable=True)
         n_coh = hinf_norm(study.coherent_closed_loop(delta), allow_unstable=True)
@@ -228,7 +231,8 @@ def cmd_reproduce(preset, outdir):
             if not (coh.max() - coh.min()) < (cls.max() - cls.min()):
                 failures.append("coherent norm spread not below classical spread")
     if failures:
-        print(f"FAIL: {failures[0]}", file=sys.stderr)
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
         return EXIT_ACCEPTANCE
     print(f"{preset}: all assertions passed")
     return EXIT_OK
@@ -251,9 +255,10 @@ def main(argv=None):
             action="store_true",
             help="reject physically unrealizable plant/controller parameters",
         )
-        sp.add_argument(
-            "--tol", type=float, default=1e-6, help="relative norm tolerance"
-        )
+        if name == "sweep":
+            sp.add_argument(
+                "--tol", type=float, default=1e-6, help="relative norm tolerance"
+            )
     rp = sub.add_parser("reproduce")
     rp.add_argument("--preset", required=True, help="fig3|fig4|fig6|fig7")
     rp.add_argument("--out", default=".", help="output directory")
@@ -274,7 +279,7 @@ def main(argv=None):
             return cmd_synthesize(config, outdir)
         if args.command == "bode":
             return cmd_bode(config, outdir)
-        return cmd_sweep(config, outdir)
+        return cmd_sweep(config, outdir, args.tol)
     except ScalingTooLarge as exc:
         print(f"config error: scaling not positive definite: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -175,7 +175,7 @@ def test_criterion_8_norm_oracle_equivalence(sweeps):
             ref = grid_peak_gain(loop)
             worst = max(worst, abs(norm - ref) / ref)
     assert worst <= 1e-4, f"worst relative disagreement {worst:.2e}"
-    print(f"\ncriterion 8 PASS: bisection vs dense grid within {worst:.1e}")
+    print(f"\ncriterion 8 PASS: level set vs dense grid within {worst:.1e}")
 
 
 def test_criterion_9_structural_suite(series_study, feedback_study):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qre import analysis
 from qre.analysis import (
+    BLOCK,
     StateSpace,
     closed_loop_error_system,
     delta_sweep,
@@ -9,13 +13,76 @@ from qre.analysis import (
     grid_peak_gain,
     hinf_norm,
 )
-from qre.errors import ChannelOutOfRange, ShapeMismatch, UnstableSystem
+from qre.errors import (
+    ChannelOutOfRange,
+    QreError,
+    ShapeMismatch,
+    SingularAtFrequency,
+    UnstableSystem,
+)
 from qre.linalg import max_singular_value
 from qre.uncertainty import evaluate_deltas, squeezer_uncertainty
 
 
 def lag():
     return StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+
+def loop_response(ss, omegas):
+    """Reference frequency response: one dense solve per frequency."""
+    n = ss.A.shape[0]
+    return [
+        ss.C @ np.linalg.solve(1j * w * np.eye(n) - ss.A, ss.B) + ss.D
+        for w in omegas
+    ]
+
+
+def bisection_norm(ss, rel_tol=1e-6):
+    """Reference peak gain: bisection on the bounded-real Hamiltonian test,
+    bracketed from a coarse grid; the midpoint of the final bracket."""
+
+    def crossed(gamma):
+        A, B, C, D = ss.A, ss.B, ss.C, ss.D
+        Rinv = np.linalg.inv(gamma**2 * np.eye(D.shape[1]) - D.conj().T @ D)
+        Am = A + B @ Rinv @ D.conj().T @ C
+        Q = C.conj().T @ (np.eye(D.shape[0]) + D @ Rinv @ D.conj().T) @ C
+        H = np.block([[Am, B @ Rinv @ B.conj().T], [-Q, -Am.conj().T]])
+        eigs = np.linalg.eigvals(H)
+        return np.min(np.abs(eigs.real)) < 1e-8 * max(1.0, np.max(np.abs(eigs)))
+
+    dnorm = max_singular_value(ss.D)
+    grid = np.logspace(-3, 3, 50)
+    grid = np.concatenate([-grid[::-1], grid])
+    lo = max(max(max_singular_value(g) for g in loop_response(ss, grid)), dnorm)
+    hi = lo * 10 + dnorm
+    lo = max(lo, dnorm * (1 + 1e-10))
+    while crossed(hi):
+        hi *= 10
+    while (hi - lo) > rel_tol * lo:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if crossed(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def random_system(seed, stable=True, feedthrough=False, cond=3.0):
+    """Seeded complex system whose poles keep a margin from the imaginary
+    axis: in the left half-plane, or straddling it when not ``stable``.
+    ``cond`` is the condition number of the eigenvector matrix of A; with
+    ``cond=None`` that matrix is a raw Gaussian one."""
+    rng = np.random.default_rng(seed)
+    n, m, p = rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 4)
+    T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if cond is not None:
+        T = np.linalg.qr(T)[0] * np.logspace(0.0, np.log10(cond), n)
+    re = -rng.uniform(0.2, 3.0, n)
+    if not stable:
+        re[: (n + 1) // 2] *= -1
+    poles = re + 1j * rng.uniform(-5.0, 5.0, n)
+    a = T @ np.diag(poles) @ np.linalg.inv(T)
+    b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    c = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+    d = rng.standard_normal((p, m)) if feedthrough else np.zeros((p, m))
+    return StateSpace(a, b, c, d)
 
 
 class TestStateSpace:
@@ -74,8 +141,9 @@ class TestFrequencyResponse:
         ss = StateSpace(
             np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.5]]
         )
-        for g in frequency_response(ss, [0.0, 1.0, 10.0]):
-            np.testing.assert_array_equal(g, [[2.5]])
+        g = frequency_response(ss, [0.0, 1.0, 10.0])
+        assert g.shape == (3, 1, 1)
+        np.testing.assert_array_equal(g, [[[2.5]]] * 3)
 
     def test_first_order_lag(self):
         g0, g1 = frequency_response(lag(), [0.0, 1.0])
@@ -98,6 +166,79 @@ class TestFrequencyResponse:
             assert max_singular_value(gp) == pytest.approx(
                 max_singular_value(gm), abs=1e-12
             )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_frequency_solves(self, seed):
+        ss = random_system(seed, stable=seed % 2 == 0, feedthrough=True)
+        omegas = np.linspace(-20.0, 20.0, 2 * BLOCK + 37)
+        g = frequency_response(ss, omegas)
+        assert g.shape == (omegas.size,) + ss.D.shape
+        np.testing.assert_allclose(g, loop_response(ss, omegas), rtol=1e-12)
+
+    def test_pole_past_the_first_block_raises(self):
+        omegas = np.linspace(0.0, 10.0, 3 * BLOCK)
+        k = BLOCK + 40
+        ss = StateSpace(np.diag([-1.0, 1j * omegas[k]]), np.ones((2, 1)),
+                        np.ones((1, 2)), [[0.0]])
+        with pytest.raises(SingularAtFrequency, match="system pole"):
+            frequency_response(ss, omegas)
+        frequency_response(ss, np.delete(omegas, k))
+
+    def test_empty_frequency_list(self):
+        g = frequency_response(random_system(3), [])
+        assert g.shape[0] == 0 and g.ndim == 3
+
+
+class TestLevelSetAgainstBisection:
+    """The level-set kernel against the bisection it replaced: both lie
+    within rel_tol / 2 of the true peak, so they agree within rel_tol.
+
+    The random systems keep a well-conditioned eigenvector basis.  With raw
+    Gaussian bases the bisection's own stopping test, the 1e-8 axis
+    tolerance, can stop far low (4.7e-4 on seed 64), so it is no reference
+    there; test_ill_conditioned_systems checks such cases against a dense
+    local grid instead.
+    """
+
+    rel_tol = 1e-6
+
+    def check(self, ss):
+        norm, w = hinf_norm(ss, self.rel_tol, allow_unstable=True,
+                            return_frequency=True)
+        assert norm == pytest.approx(bisection_norm(ss, self.rel_tol),
+                                     rel=self.rel_tol)
+        assert norm >= grid_peak_gain(ss) * (1 - 1e-6)
+        at_w = (max_singular_value(ss.D) if np.isinf(w)
+                else max_singular_value(frequency_response(ss, [w])[0]))
+        assert at_w == pytest.approx(norm, rel=self.rel_tol)
+
+    def test_benchmark_loops(self, series_study, feedback_study, delta_grid_21):
+        for study in (series_study, feedback_study):
+            for d in delta_grid_21[::4]:
+                self.check(study.classical_closed_loop(d))
+                self.check(study.coherent_closed_loop(d))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stable=st.booleans(),
+        feedthrough=st.booleans(),
+    )
+    def test_random_systems(self, seed, stable, feedthrough):
+        self.check(random_system(seed, stable, feedthrough))
+
+    @pytest.mark.parametrize("seed, feedthrough", [(64, False), (743, True)])
+    def test_ill_conditioned_systems(self, seed, feedthrough):
+        # On seed 743, at the level just below the peak, the two crossing
+        # eigenvalues come out 5e-8 off the imaginary axis, past the 1e-8
+        # relative tolerance.  Midpoints taken between crossings found by
+        # that tolerance alone would stop 2e-6 low; those between all
+        # eigenvalue frequencies still reach the peak of a local grid.
+        ss = random_system(seed, feedthrough=feedthrough, cond=None)
+        norm, w = hinf_norm(ss, self.rel_tol, return_frequency=True)
+        g = frequency_response(ss, np.linspace(w - 0.05, w + 0.05, 20001))
+        peak = np.linalg.svd(g, compute_uv=False)[:, 0].max()
+        assert peak <= norm <= peak * (1 + self.rel_tol)
 
 
 class TestHinfNorm:
@@ -161,3 +302,19 @@ class TestDeltaSweep:
         assert res.deltas == (-1.0, 0.0, 1.0)
         assert len(res.norms) == 3
         assert res.label == "classical"
+
+
+class TestLevelSetFailures:
+    def test_step_cap_raises_naming_the_level(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_LEVELS", 0)
+        with pytest.raises(QreError, match="level"):
+            hinf_norm(lag())
+
+    def test_crossings_without_a_higher_gain_raise(self, monkeypatch):
+        # an eigenvalue on the axis claims the level is crossed, but the gain
+        # at every midpoint stays below the current bound
+        monkeypatch.setattr(
+            analysis, "_level_eigenvalues", lambda ss, gamma: np.array([5j, 6j])
+        )
+        with pytest.raises(QreError, match="level .* is crossed"):
+            hinf_norm(lag())

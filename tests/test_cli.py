@@ -4,8 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from qre import analysis, cli
+from qre.analysis import SweepResult
 from qre.cli import main
-from qre.presets import feedback_benchmark_config, series_benchmark_config
+from qre.presets import (
+    Study,
+    build_study,
+    feedback_benchmark_config,
+    series_benchmark_config,
+)
 
 
 def decode(pairs):
@@ -140,3 +147,61 @@ class TestReproduceCommand:
         rows = read_csv(tmp_path / "sweep.csv")
         spread = rows[-1]
         assert float(spread[2]) < float(spread[1])
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig6"])
+    def test_bode_preset_meta_names_the_preset(self, tmp_path, preset):
+        assert main(["reproduce", "--preset", preset, "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["command"] == f"reproduce:{preset}"
+
+    def test_bode_preset_builds_the_study_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_build_study(config, *args, **kwargs):
+            built.append(config["topology"])
+            return build_study(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_study", counting_build_study)
+        assert main(["reproduce", "--preset", "fig3", "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+
+    def test_every_failed_assertion_is_reported(self, tmp_path, monkeypatch, capsys):
+        # a coherent filter worse at every delta and with the wider spread
+        # fails both feedback assertions
+        def losing_sweep(self, deltas, rel_tol=1e-6):
+            return (
+                SweepResult((0.0, 1.0), (1.0, 1.0), "classical"),
+                SweepResult((0.0, 1.0), (2.0, 3.0), "coherent"),
+            )
+
+        monkeypatch.setattr(Study, "sweep", losing_sweep)
+        rc = main(["reproduce", "--preset", "fig7", "--out", str(tmp_path)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "FAIL: coherent peak gain not below classical at every delta" in err
+        assert "FAIL: coherent norm spread not below classical spread" in err
+
+
+class TestTolerance:
+    def test_sweep_tol_reaches_hinf_norm(self, tmp_path, monkeypatch):
+        seen = []
+        original = analysis.hinf_norm
+
+        def recording_hinf_norm(ss, rel_tol=1e-6, *args, **kwargs):
+            seen.append(rel_tol)
+            return original(ss, rel_tol, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "hinf_norm", recording_hinf_norm)
+        cfg = series_benchmark_config()
+        cfg["delta_grid"] = {"min": 0.0, "max": 0.0, "points": 1}
+        rc = main(["sweep", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path), "--tol", "1e-3"])
+        assert rc == 0
+        assert seen == [1e-3, 1e-3]  # one classical, one coherent
+
+    @pytest.mark.parametrize("command", ["synthesize", "bode"])
+    def test_commands_without_a_norm_take_no_tol(self, tmp_path, command):
+        path = write_config(tmp_path, series_benchmark_config())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(tmp_path), "--tol", "1e-3"])
+        assert exc.value.code == 2
