@@ -8,6 +8,13 @@ also yields the peak gain over the imaginary axis for a system with
 unstable dynamics (the L-infinity norm); pass ``allow_unstable=True`` to
 request that instead of an error.  Frequency responses are evaluated in
 stacked blocks, one batched linear solve per block.
+
+The kernel works on a stack of K systems of one shape: hinf_norm and
+frequency_response are its K = 1 case, and delta_sweep evaluates all its
+delta values in one stacked level-set run, the loops iterating in lockstep.
+The largest singular value of a one-row or one-column response is the
+Euclidean norm of its entries (such a matrix has one nonzero singular
+value); other responses take a batched SVD.
 """
 
 from dataclasses import dataclass
@@ -21,7 +28,7 @@ from .errors import (
     SingularAtFrequency,
     UnstableSystem,
 )
-from .linalg import as_cmatrix, max_singular_value
+from .linalg import as_cmatrix
 
 __all__ = [
     "StateSpace",
@@ -120,64 +127,173 @@ def closed_loop_error_system(A, B, C, D, L, S, est, deltas=None, channel=None):
     return StateSpace(Acl, Bcl, Ccl, np.zeros((Ccl.shape[0], Bcl.shape[1])))
 
 
-# Frequencies per stacked solve: bounded blocks keep memory flat in N.
+# Resolvents per stacked solve: a stack of K systems takes BLOCK // K
+# frequency columns at a time, so memory stays flat in the number of
+# frequencies and of systems.
 BLOCK = 256
-# Level-set steps before hinf_norm gives up; it typically needs one to three.
+# Level-set steps before the iteration gives up; it typically needs one to
+# three.
 MAX_LEVELS = 100
+
+
+def _at(k, error):
+    """Tag a failure of the stacked kernel with the index of its system."""
+    error.system = k
+    return error
+
+
+def _responses(A, B, C, D, eigA, W):
+    """G_k(i w) = C_k (i w I - A_k)^(-1) B_k + D_k for each system k of a
+    stack and each of its frequencies w in W[k], as a (K, N, p, m) array.
+
+    A is (K, n, n), B (K, n, m), C (K, p, n), D (K, p, m), eigA (K, n) the
+    eigenvalues of A and W (K, N).  The resolvents are solved in stacked
+    blocks of BLOCK // K frequency columns across all K systems.
+    """
+    K, n = eigA.shape
+    out = np.empty(W.shape + D.shape[1:], dtype=complex)
+    out[:] = D[:, None]
+    if n == 0:
+        return out
+    step = max(BLOCK // K, 1)
+    # one resolvent buffer, refilled for each block
+    buffer = np.empty((K, min(step, W.shape[1]), n, n), dtype=complex)
+    for start in range(0, W.shape[1], step):
+        w = W[:, start : start + step]
+        dist = np.abs(1j * w[..., None] - eigA[:, None])
+        near = np.min(dist, axis=2) < 1e-12
+        if near.any():
+            k, j = np.argwhere(near)[0]
+            raise _at(k, SingularAtFrequency(
+                f"i*omega = {1j * w[k, j]} is a system pole"
+            ))
+        # i w I - A, with i w added along each diagonal in place
+        resolvent = buffer[:, : w.shape[1]]
+        np.negative(A[:, None], out=resolvent)
+        resolvent.reshape(w.shape + (-1,))[..., :: n + 1] += 1j * w[..., None]
+        X = np.linalg.solve(
+            resolvent, np.broadcast_to(B[:, None], w.shape + B.shape[1:])
+        )
+        out[:, start : start + w.shape[1]] += C[:, None] @ X
+    return out
+
+
+def _sigma_max(g):
+    """Largest singular value of each matrix of a (..., p, m) stack.  A
+    single row or column has one nonzero singular value, its Euclidean
+    norm, so no SVD is taken there."""
+    if min(g.shape[-2:]) <= 1:
+        return np.linalg.norm(g, axis=(-2, -1))
+    return np.linalg.svd(g, compute_uv=False)[..., 0]
+
+
+def _peak_gains(A, B, C, D, eigA, W):
+    """Largest singular value of G_k(i w) for each w in W[k], as (K, N)."""
+    return _sigma_max(_responses(A, B, C, D, eigA, W))
 
 
 def frequency_response(ss, omegas):
     """G(i w) = C (i w I - A)^(-1) B + D at each listed frequency, as an
     (N, p, m) complex array; the resolvent is solved in stacked blocks of
     BLOCK frequencies."""
-    A, B, C, D = ss.A, ss.B, ss.C, ss.D
-    omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    n = A.shape[0]
-    out = np.empty((omegas.size,) + D.shape, dtype=complex)
-    out[:] = D
-    if n == 0:
-        return out
-    eigs = np.linalg.eigvals(A)
-    for start in range(0, omegas.size, BLOCK):
-        w = omegas[start : start + BLOCK]
-        near = np.min(np.abs(1j * w[:, None] - eigs), axis=1) < 1e-12
-        if near.any():
-            pole = 1j * w[np.argmax(near)]
-            raise SingularAtFrequency(f"i*omega = {pole} is a system pole")
-        # i w I - A, with i w added along each diagonal in place
-        resolvent = np.repeat(-A[None], w.size, axis=0)
-        resolvent.reshape(w.size, -1)[:, :: n + 1] += 1j * w[:, None]
-        X = np.linalg.solve(resolvent, np.broadcast_to(B, (w.size,) + B.shape))
-        out[start : start + w.size] += C @ X
-    return out
+    A, B, C, D = (m[None] for m in (ss.A, ss.B, ss.C, ss.D))
+    W = np.asarray(omegas, dtype=float).reshape(1, -1)
+    return _responses(A, B, C, D, np.linalg.eigvals(A), W)[0]
 
 
-def _peak_gains(ss, omegas):
-    """Largest singular value of G(i w) at each listed frequency."""
-    g = frequency_response(ss, omegas)
-    if g.size == 0:
-        return np.zeros(len(g))
-    return np.linalg.svd(g, compute_uv=False)[:, 0]
-
-
-def _level_eigenvalues(ss, gamma):
-    """Eigenvalues of the bounded-real Hamiltonian at level gamma (above the
-    largest singular value of D).  Its imaginary-axis eigenvalues i w mark
-    the frequencies w where some singular value of G(i w) equals gamma."""
-    A, B, C, D = ss.A, ss.B, ss.C, ss.D
-    R = gamma**2 * np.eye(D.shape[1]) - D.conj().T @ D
+def _level_eigenvalues(A, B, C, D, gamma):
+    """Eigenvalues of the bounded-real Hamiltonians of a stack, system k at
+    level gamma[k] (above the largest singular value of D_k), as (K, 2n).
+    The imaginary-axis eigenvalues i w mark the frequencies w where some
+    singular value of G_k(i w) equals gamma[k]."""
+    p, m = D.shape[1:]
+    Bh, Ch, Dh = (x.conj().swapaxes(1, 2) for x in (B, C, D))
+    R = gamma[:, None, None] ** 2 * np.eye(m) - Dh @ D
     Rinv = np.linalg.inv(R)
-    Am = A + B @ Rinv @ D.conj().T @ C
+    Am = A + B @ Rinv @ Dh @ C
     H = np.block(
         [
-            [Am, B @ Rinv @ B.conj().T],
-            [
-                -C.conj().T @ (np.eye(D.shape[0]) + D @ Rinv @ D.conj().T) @ C,
-                -Am.conj().T,
-            ],
+            [Am, B @ Rinv @ Bh],
+            [-Ch @ (np.eye(p) + D @ Rinv @ Dh) @ C, -Am.conj().swapaxes(1, 2)],
         ]
     )
     return np.linalg.eigvals(H)
+
+
+def _level_set(systems, rel_tol, allow_unstable):
+    """Peak gains over the imaginary axis of K systems of one shape, and
+    their peak frequencies, as two (K,) arrays.
+
+    Each system runs the level-set iteration of hinf_norm; the iterations
+    go in lockstep, one stacked Hamiltonian eigen-solve and one stacked
+    frequency response per step, and a system leaves the active set once
+    it has converged.  One eigen-solve of each A serves the stability check
+    and every pole check.  A QreError raised for one system carries its
+    index in the list as ``system``.
+    """
+    A, B, C, D = (np.stack([getattr(s, x) for s in systems]) for x in "ABCD")
+    eigA = np.linalg.eigvals(A)
+    abscissa = eigA.real.max(axis=1, initial=-np.inf)
+    if not allow_unstable and (abscissa >= 0).any():
+        k = np.argmax(abscissa >= 0)
+        raise _at(k, UnstableSystem(
+            f"spectral abscissa {abscissa[k]:.4g} is not negative"
+        ))
+    K = A.shape[0]
+    norms = _sigma_max(D)
+    peaks = np.full(K, np.inf)
+    if A.shape[1] == 0 or not B.shape[2] or not C.shape[1]:
+        return norms, peaks
+    # starting bound from a coarse frequency grid (both signs: a single
+    # selected channel of a doubled-up system need not be conjugate-symmetric)
+    grid = np.logspace(-3, 3, 50)
+    grid = np.concatenate([-grid[::-1], grid])
+    W = np.broadcast_to(grid, (K, grid.size))
+    gains = _peak_gains(A, B, C, D, eigA, W)
+    best = np.argmax(gains, axis=1)
+    lo = gains[np.arange(K), best]
+    above = lo > norms
+    peaks[above] = grid[best[above]]
+    lo = np.where(above, lo, norms)
+    peaks[lo == 0.0] = 0.0
+    active = np.flatnonzero(lo != 0.0)
+    for _ in range(MAX_LEVELS):
+        if not active.size:
+            break
+        a, b, c, d, e = (x[active] for x in (A, B, C, D, eigA))
+        gamma = lo[active] * (1 + rel_tol)
+        eigs = _level_eigenvalues(a, b, c, d, gamma)
+        # Between consecutive crossings of gamma the gain stays on one side
+        # of it.  Midpoints between the frequencies of all eigenvalues put a
+        # point inside every interval where the gain exceeds gamma, even
+        # where rounding has moved its crossings slightly off the axis.
+        freqs = np.sort(eigs.imag, axis=1)
+        mids = 0.5 * (freqs[:, :-1] + freqs[:, 1:])
+        gains = _peak_gains(a, b, c, d, e, mids)
+        best = np.argmax(gains, axis=1)
+        top = gains[np.arange(active.size), best]
+        done = top <= gamma
+        scale = np.maximum(1.0, np.abs(eigs).max(axis=1, keepdims=True))
+        crossed = (np.abs(eigs.real) < 1e-8 * scale).sum(axis=1)
+        stuck = np.flatnonzero(done & (crossed > 0) & (top <= lo[active]))
+        if stuck.size:
+            i = stuck[0]
+            raise _at(active[i], QreError(
+                f"level {gamma[i]:.6g} is crossed at {crossed[i]} "
+                f"frequencies but no midpoint gain exceeds {lo[active[i]]:.6g}"
+            ))
+        norms[active[done]] = lo[active[done]] * (1 + rel_tol / 2)
+        rising = active[~done]
+        lo[rising] = top[~done]
+        peaks[rising] = mids[~done, best[~done]]
+        active = rising
+    if active.size:
+        k = active[0]
+        raise _at(k, QreError(
+            f"level-set iteration did not converge in {MAX_LEVELS} steps "
+            f"(level {lo[k] * (1 + rel_tol):.6g})"
+        ))
+    return norms, peaks
 
 
 def hinf_norm(ss, rel_tol=1e-6, allow_unstable=False, return_frequency=False):
@@ -200,49 +316,9 @@ def hinf_norm(ss, rel_tol=1e-6, allow_unstable=False, return_frequency=False):
     (norm, peak_frequency) pair, the frequency being that of the best point
     found (infinite where the gain of D was never exceeded).
     """
-    if not ss.is_stable and not allow_unstable:
-        raise UnstableSystem(
-            f"spectral abscissa {ss.spectral_abscissa:.4g} is not negative"
-        )
-    dnorm = max_singular_value(ss.D)
-    if ss.A.size == 0 or not ss.B.size or not ss.C.size:
-        return (dnorm, np.inf) if return_frequency else dnorm
-    # starting bound from a coarse frequency grid (both signs: a single
-    # selected channel of a doubled-up system need not be conjugate-symmetric)
-    grid = np.logspace(-3, 3, 50)
-    grid = np.concatenate([-grid[::-1], grid])
-    gains = _peak_gains(ss, grid)
-    best = int(np.argmax(gains))
-    lo, peak = float(gains[best]), float(grid[best])
-    if dnorm >= lo:
-        lo, peak = dnorm, np.inf
-    if lo == 0.0:
-        return (0.0, 0.0) if return_frequency else 0.0
-    for _ in range(MAX_LEVELS):
-        gamma = lo * (1 + rel_tol)
-        eigs = _level_eigenvalues(ss, gamma)
-        # Between consecutive crossings of gamma the gain stays on one side
-        # of it.  Midpoints between the frequencies of all eigenvalues put a
-        # point inside every interval where the gain exceeds gamma, even
-        # where rounding has moved its crossings slightly off the axis.
-        freqs = np.sort(eigs.imag)
-        mids = 0.5 * (freqs[:-1] + freqs[1:])
-        gains = _peak_gains(ss, mids)
-        best = int(np.argmax(gains))
-        if gains[best] <= gamma:
-            on_axis = np.abs(eigs.real) < 1e-8 * max(1.0, np.max(np.abs(eigs)))
-            if on_axis.any() and gains[best] <= lo:
-                raise QreError(
-                    f"level {gamma:.6g} is crossed at {on_axis.sum()} "
-                    f"frequencies but no midpoint gain exceeds {lo:.6g}"
-                )
-            norm = lo * (1 + rel_tol / 2)
-            return (norm, peak) if return_frequency else norm
-        lo, peak = float(gains[best]), float(mids[best])
-    raise QreError(
-        f"level-set iteration did not converge in {MAX_LEVELS} steps "
-        f"(level {lo * (1 + rel_tol):.6g})"
-    )
+    norms, peaks = _level_set([ss], rel_tol, allow_unstable)
+    norm, peak = float(norms[0]), float(peaks[0])
+    return (norm, peak) if return_frequency else norm
 
 
 def grid_peak_gain(ss, n_points=2000, omega_min=1e-3, omega_max=1e3):
@@ -256,20 +332,38 @@ def grid_peak_gain(ss, n_points=2000, omega_min=1e-3, omega_max=1e3):
     """
     grid = np.logspace(np.log10(omega_min), np.log10(omega_max), n_points)
     grid = np.concatenate([-grid[::-1], grid])
-    return float(_peak_gains(ss, grid).max())
+    return float(_sigma_max(frequency_response(ss, grid)).max())
 
 
 def delta_sweep(builder, deltas, label="", rel_tol=1e-6, allow_unstable=True):
     """Evaluate the peak gain of builder(delta) across an uncertainty grid.
 
     The estimator inside the builder stays fixed (synthesized once at its
-    design point); only the plant perturbation varies.  Per-point failures
-    are re-raised with the offending delta attached.
+    design point); only the plant perturbation varies.  The loops of all
+    deltas are stacked and their peak gains taken in one run of the
+    level-set kernel.  Per-point failures are re-raised with the offending
+    delta attached.
     """
-    norms = []
+    failed = "sweep failed at delta={}: {}".format
+    loops = []
     for d in deltas:
         try:
-            norms.append(hinf_norm(builder(d), rel_tol, allow_unstable))
+            loops.append(builder(d))
         except QreError as exc:
-            raise QreError(f"sweep failed at delta={d}: {exc}") from exc
-    return SweepResult(tuple(float(d) for d in deltas), tuple(norms), label)
+            raise QreError(failed(d, exc)) from exc
+    if not loops:
+        return SweepResult((), (), label)
+    shapes = [(loop.A.shape, loop.D.shape) for loop in loops]
+    for d, shape in zip(deltas, shapes):
+        if shape != shapes[0]:
+            raise ShapeMismatch(failed(
+                d, f"loop shapes (A, D) {shape} differ from {shapes[0]} "
+                f"at delta={deltas[0]}"
+            ))
+    try:
+        norms, _ = _level_set(loops, rel_tol, allow_unstable)
+    except QreError as exc:
+        raise QreError(failed(deltas[exc.system], exc)) from exc
+    return SweepResult(
+        tuple(float(d) for d in deltas), tuple(norms.tolist()), label
+    )

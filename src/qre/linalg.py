@@ -155,13 +155,13 @@ def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
     n = inst.n
     H = np.block([[A, R], [-Q, -A.conj().T]])
 
-    gap = np.min(np.abs(np.linalg.eigvals(H).real))
+    # the diagonal of the triangular Schur factor holds the eigenvalues of H
+    T, Z, sdim = sla.schur(H, output="complex", sort=lambda lam: lam.real < 0)
+    gap = np.min(np.abs(np.diag(T).real))
     if gap < IMAG_AXIS_GAP:
         raise ImaginaryAxisEigenvalue(
             f"Hamiltonian eigenvalue within {gap:.3e} of the imaginary axis"
         )
-
-    _, Z, sdim = sla.schur(H, output="complex", sort=lambda lam: lam.real < 0)
     if sdim != n:
         raise ImaginaryAxisEigenvalue(
             f"stable invariant subspace has dimension {sdim}, expected {n}"

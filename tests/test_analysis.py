@@ -7,6 +7,7 @@ from qre import analysis
 from qre.analysis import (
     BLOCK,
     StateSpace,
+    SweepResult,
     closed_loop_error_system,
     delta_sweep,
     frequency_response,
@@ -15,6 +16,7 @@ from qre.analysis import (
 )
 from qre.errors import (
     ChannelOutOfRange,
+    DomainError,
     QreError,
     ShapeMismatch,
     SingularAtFrequency,
@@ -64,13 +66,16 @@ def bisection_norm(ss, rel_tol=1e-6):
     return 0.5 * (lo + hi)
 
 
-def random_system(seed, stable=True, feedthrough=False, cond=3.0):
+def random_system(seed, stable=True, feedthrough=False, cond=3.0, shape=None):
     """Seeded complex system whose poles keep a margin from the imaginary
     axis: in the left half-plane, or straddling it when not ``stable``.
     ``cond`` is the condition number of the eigenvector matrix of A; with
-    ``cond=None`` that matrix is a raw Gaussian one."""
+    ``cond=None`` that matrix is a raw Gaussian one.  ``shape`` fixes the
+    state, output and input counts (n, p, m); by default they are drawn."""
     rng = np.random.default_rng(seed)
     n, m, p = rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 4)
+    if shape is not None:
+        n, p, m = shape
     T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if cond is not None:
         T = np.linalg.qr(T)[0] * np.logspace(0.0, np.log10(cond), n)
@@ -253,7 +258,7 @@ class TestHinfNorm:
 
     def test_unstable_raises_by_default(self):
         ss = StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]])
-        with pytest.raises(UnstableSystem):
+        with pytest.raises(UnstableSystem, match="spectral abscissa 1 is not"):
             hinf_norm(ss)
         # the imaginary-axis peak gain is still well-defined
         assert hinf_norm(ss, allow_unstable=True) == pytest.approx(1.0, rel=1e-5)
@@ -314,7 +319,131 @@ class TestLevelSetFailures:
         # an eigenvalue on the axis claims the level is crossed, but the gain
         # at every midpoint stays below the current bound
         monkeypatch.setattr(
-            analysis, "_level_eigenvalues", lambda ss, gamma: np.array([5j, 6j])
+            analysis,
+            "_level_eigenvalues",
+            lambda A, B, C, D, gamma: np.array([[5j, 6j]]),
         )
         with pytest.raises(QreError, match="level .* is crossed"):
             hinf_norm(lag())
+
+
+class TestStackedKernel:
+    """delta_sweep runs the level-set kernel once over the stack of all its
+    loops, and hinf_norm runs it over a stack of one: each system's
+    arithmetic is the same either way."""
+
+    def test_sweep_matches_hinf_norm_on_benchmarks(
+        self, series_study, feedback_study, delta_grid_21
+    ):
+        for study in (series_study, feedback_study):
+            for builder in (study.classical_closed_loop,
+                            study.coherent_closed_loop):
+                res = delta_sweep(builder, delta_grid_21)
+                ref = [hinf_norm(builder(d), allow_unstable=True)
+                       for d in delta_grid_21]
+                np.testing.assert_allclose(res.norms, ref, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stable=st.lists(st.booleans(), min_size=1, max_size=6),
+        feedthrough=st.booleans(),
+        n=st.integers(1, 6),
+        channel=st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 3)]),
+    )
+    def test_sweep_matches_hinf_norm_on_random_stacks(
+        self, seed, stable, feedthrough, n, channel
+    ):
+        systems = [
+            random_system(seed + k, s, feedthrough, shape=(n,) + channel)
+            for k, s in enumerate(stable)
+        ]
+        res = delta_sweep(lambda d: systems[int(d)], range(len(systems)))
+        ref = [hinf_norm(ss, allow_unstable=True) for ss in systems]
+        np.testing.assert_allclose(res.norms, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 5, 1, 4), (3, 5, 3, 1), (3, 5, 2, 3), (0, 5, 2, 3), (3, 0, 1, 3),
+         (3, 0, 2, 3)],
+    )
+    def test_sigma_max_matches_svd(self, shape):
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = analysis._sigma_max(g)
+        assert got.shape == shape[:-2]
+        np.testing.assert_allclose(
+            got, np.linalg.svd(g, compute_uv=False)[..., 0], rtol=1e-14
+        )
+
+
+def first_order(pole, c=1.0):
+    return StateSpace([[pole]], [[1.0]], [[c]], [[0.0]])
+
+
+class TestSweepFailures:
+    """A failed sweep names the delta of the loop at fault."""
+
+    def test_builder_failure(self):
+        def builder(d):
+            if d == 0.5:
+                raise DomainError("no loop here")
+            return lag()
+
+        with pytest.raises(QreError, match=r"delta=0\.5: no loop here"):
+            delta_sweep(builder, [0.0, 0.5, 1.0])
+
+    def test_unstable_loop(self):
+        def builder(d):
+            return first_order(d - 0.7)
+
+        with pytest.raises(
+            QreError, match=r"delta=1\.0: spectral abscissa 0\.3 is not negative"
+        ):
+            delta_sweep(builder, [-1.0, 0.0, 1.0], allow_unstable=False)
+        # allowed by default: the peak gain on the axis, 1 / 0.3 at w = 0
+        res = delta_sweep(builder, [-1.0, 0.0, 1.0])
+        assert res.norms[2] == pytest.approx(1 / 0.3, rel=1e-6)
+
+    def test_pole_on_the_imaginary_axis(self):
+        w0 = np.logspace(-3, 3, 50)[20]  # a frequency of the starting grid
+
+        def builder(d):
+            pole = 1j * w0 if d == 0.5 else -2.0
+            return StateSpace(np.diag([-1.0, pole]), np.ones((2, 1)),
+                              np.ones((1, 2)), [[0.0]])
+
+        with pytest.raises(
+            QreError, match=r"delta=0\.5: i\*omega = .* is a system pole"
+        ) as info:
+            delta_sweep(builder, [0.0, 0.25, 0.5])
+        assert isinstance(info.value.__cause__, SingularAtFrequency)
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_LEVELS", 0)
+        # the loop at delta = 0 has no gain, so it needs no level-set step
+        with pytest.raises(
+            QreError,
+            match=r"delta=0\.5: level-set iteration did not converge in 0 steps",
+        ):
+            delta_sweep(lambda d: first_order(-1.0, c=d), [0.0, 0.5, 1.0])
+
+    def test_crossings_without_a_higher_gain(self, monkeypatch):
+        monkeypatch.setattr(
+            analysis,
+            "_level_eigenvalues",
+            lambda A, B, C, D, gamma: np.tile([5j, 6j], (A.shape[0], 1)),
+        )
+        with pytest.raises(QreError, match=r"delta=0\.5: level .* is crossed"):
+            delta_sweep(lambda d: first_order(-1.0, c=d), [0.0, 0.5, 1.0])
+
+    def test_empty_deltas(self):
+        res = delta_sweep(lambda d: lag(), [], label="empty")
+        assert res == SweepResult((), (), "empty")
+
+    def test_unequal_loop_shapes(self):
+        def builder(d):
+            return lag() if d < 0.5 else random_system(1, shape=(2, 1, 1))
+
+        with pytest.raises(ShapeMismatch, match=r"delta=0\.5"):
+            delta_sweep(builder, [0.0, 0.5])

@@ -184,14 +184,16 @@ class TestReproduceCommand:
 
 class TestTolerance:
     def test_sweep_tol_reaches_hinf_norm(self, tmp_path, monkeypatch):
+        # the tolerance is recorded where it is used: at the stacked
+        # level-set kernel, which a sweep runs once per filter
         seen = []
-        original = analysis.hinf_norm
+        original = analysis._level_set
 
-        def recording_hinf_norm(ss, rel_tol=1e-6, *args, **kwargs):
+        def recording_level_set(systems, rel_tol, allow_unstable):
             seen.append(rel_tol)
-            return original(ss, rel_tol, *args, **kwargs)
+            return original(systems, rel_tol, allow_unstable)
 
-        monkeypatch.setattr(analysis, "hinf_norm", recording_hinf_norm)
+        monkeypatch.setattr(analysis, "_level_set", recording_level_set)
         cfg = series_benchmark_config()
         cfg["delta_grid"] = {"min": 0.0, "max": 0.0, "points": 1}
         rc = main(["sweep", "--config", write_config(tmp_path, cfg),

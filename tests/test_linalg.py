@@ -135,6 +135,11 @@ class TestSolveCare:
         with pytest.raises(ImaginaryAxisEigenvalue):
             solve_care(CareInstance(A=[[0.0]], R=[[0.0]], Q=[[1.0]]))
 
+    def test_gap_read_off_the_schur_form(self):
+        # spectrum {-1e-10, 1e-10}: the reported gap is the eigenvalue's
+        with pytest.raises(ImaginaryAxisEigenvalue, match="within 1.000e-10 "):
+            solve_care(CareInstance(A=[[-1e-10]], R=[[0.0]], Q=[[0.0]]))
+
     def test_rejects_non_hermitian_data(self):
         with pytest.raises(ValueError):
             CareInstance(A=np.eye(2), R=[[0, 1], [0, 0]], Q=np.eye(2))
