@@ -18,10 +18,7 @@ def main():
     delta = study.delta_design
     omegas = np.logspace(-2, 2, 60)
 
-    loops = {
-        "classical": study.classical_closed_loop(delta),
-        "coherent": study.coherent_closed_loop(delta),
-    }
+    loops = {name: study.closed_loop(name, delta) for name in study.channels}
 
     print(f"magnitude of the error response at delta = {delta}")
     print(f"{'omega':>10} {'classical':>12} {'coherent':>12}")

@@ -33,9 +33,9 @@ def main():
         f"eps1={study.eps1}, eps2={study.eps2}"
     )
     show("classical filter (homodyne on the plant output)",
-         study.classical_estimator())
+         study.estimator("classical"))
     show("coherent-classical filter (controller ahead of the detector)",
-         study.coherent_estimator())
+         study.estimator("coherent"))
 
 
 if __name__ == "__main__":

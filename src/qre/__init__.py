@@ -21,11 +21,9 @@ from .analysis import (
 )
 from .augmentation import (
     AugmentedSystem,
-    AugmentedUncertainty,
     augment,
     augment_feedback,
     lift_uncertainty,
-    lifted_deltas,
 )
 from .errors import QreError
 from .linalg import (
@@ -57,9 +55,7 @@ from .quantum import (
 from .synthesis import (
     Estimator,
     ScaledProblem,
-    assemble_augmented,
-    assemble_classical,
-    assemble_feedback_classical,
+    assemble,
     eps_grid_search,
     synthesize,
 )
@@ -96,16 +92,12 @@ __all__ = [
     "evaluate_deltas",
     "contraction_check",
     "AugmentedSystem",
-    "AugmentedUncertainty",
     "augment",
     "augment_feedback",
     "lift_uncertainty",
-    "lifted_deltas",
     "ScaledProblem",
     "Estimator",
-    "assemble_classical",
-    "assemble_feedback_classical",
-    "assemble_augmented",
+    "assemble",
     "synthesize",
     "eps_grid_search",
     "StateSpace",

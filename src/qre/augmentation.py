@@ -2,75 +2,44 @@
 
 Interconnects a doubled-up plant with a coherent controller into a single
 augmented system, and lifts the plant uncertainty factors into the augmented
-state coordinates, for both the series (no-feedback) and coherent-feedback
-topologies.
+state coordinates.  The controller picks the interconnection: a controller
+without a feedback output is driven in series by the plant output, a
+feedback-capable one closes a coherent-feedback loop around a two-port
+plant.  The augmented system and its lifted ``UncertaintyModel`` form the
+channel measured by the coherent-classical filter.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ShapeMismatch, WrongTopology
 from .linalg import as_cmatrix
-from .uncertainty import evaluate_deltas
 
 __all__ = [
     "AugmentedSystem",
-    "AugmentedUncertainty",
     "augment",
     "augment_feedback",
     "lift_uncertainty",
 ]
-
-NO_FEEDBACK = "no_feedback"
-FEEDBACK = "feedback"
 
 
 @dataclass(frozen=True)
 class AugmentedSystem:
     """State-space realization of the plant driving (or interconnected
     with) a coherent controller, with the estimand row padded by zeros on
-    the controller states."""
+    the controller states.  Its fields are named as a plant's, so either
+    serves as a channel's measured system."""
 
-    A_a: np.ndarray
-    B_a: np.ndarray
-    C_a: np.ndarray
-    D_a: np.ndarray
-    L_a: np.ndarray
-    topology: str
-    n_plant: int = 0
-    n_ctrl: int = 0
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    L: np.ndarray
 
     def __post_init__(self):
-        for name in ("A_a", "B_a", "C_a", "D_a", "L_a"):
+        for name in ("A", "B", "C", "D", "L"):
             object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class AugmentedUncertainty:
-    """Plant uncertainty factors lifted into augmented coordinates.
-
-    Carries the same contraction maps f1, f2 as the underlying model, so
-    perturbation triples evaluate identically via the factored products.
-    """
-
-    H1: np.ndarray
-    H2: np.ndarray
-    H3: np.ndarray
-    E: np.ndarray
-    G: np.ndarray
-    base: object = field(repr=False, default=None)
-    topology: str = NO_FEEDBACK
-
-    def __post_init__(self):
-        for name in ("H1", "H2", "H3", "E", "G"):
-            object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
-
-    def f1(self, delta):
-        return self.base.f1(delta)
-
-    def f2(self, delta):
-        return self.base.f2(delta)
 
 
 def augment(plant, ctrl):
@@ -88,14 +57,11 @@ def augment(plant, ctrl):
     if Bc.shape[1] != C.shape[0]:
         raise ShapeMismatch("controller input width must match plant output width")
     return AugmentedSystem(
-        A_a=np.block([[A, np.zeros((n, k))], [Bc @ C, Ac]]),
-        B_a=np.vstack([B, Bc @ D]),
-        C_a=np.hstack([Dc @ C, Cc]),
-        D_a=Dc @ D,
-        L_a=np.hstack([L, np.zeros((L.shape[0], k))]),
-        topology=NO_FEEDBACK,
-        n_plant=n,
-        n_ctrl=k,
+        A=np.block([[A, np.zeros((n, k))], [Bc @ C, Ac]]),
+        B=np.vstack([B, Bc @ D]),
+        C=np.hstack([Dc @ C, Cc]),
+        D=Dc @ D,
+        L=np.hstack([L, np.zeros((L.shape[0], k))]),
     )
 
 
@@ -116,59 +82,43 @@ def augment_feedback(plant, ctrl):
     Ctc, Cc = ctrl.Ct_c, ctrl.C_c
     Dtc1, Dtc2 = ctrl.Dt_c1, ctrl.Dt_c2
     Dc1, Dc2 = ctrl.D_c1, ctrl.D_c2
-    n, k = A.shape[0], Ac.shape[0]
+    k = Ac.shape[0]
     if Bc2.shape[1] != C.shape[0]:
         raise ShapeMismatch("controller feedback input must match plant output")
     return AugmentedSystem(
-        A_a=np.block([[A + B2 @ Dc2 @ C, B2 @ Cc], [Bc2 @ C, Ac]]),
-        B_a=np.block([[B1 + B2 @ Dc2 @ D, B2 @ Dc1], [Bc2 @ D, Bc1]]),
-        C_a=np.hstack([Dtc2 @ C, Ctc]),
-        D_a=np.hstack([Dtc2 @ D, Dtc1]),
-        L_a=np.hstack([L, np.zeros((L.shape[0], k))]),
-        topology=FEEDBACK,
-        n_plant=n,
-        n_ctrl=k,
+        A=np.block([[A + B2 @ Dc2 @ C, B2 @ Cc], [Bc2 @ C, Ac]]),
+        B=np.block([[B1 + B2 @ Dc2 @ D, B2 @ Dc1], [Bc2 @ D, Bc1]]),
+        C=np.hstack([Dtc2 @ C, Ctc]),
+        D=np.hstack([Dtc2 @ D, Dtc1]),
+        L=np.hstack([L, np.zeros((L.shape[0], k))]),
     )
 
 
-def lift_uncertainty(u, ctrl, topology, plant=None):
+def lift_uncertainty(u, ctrl, plant=None):
     """Lift plant uncertainty factors into augmented coordinates.
 
-    Series topology: H1 -> [H1; B_c H3], H2 -> [H2; 0], H3 -> D_c H3,
-    E -> [E, 0], G unchanged.  Feedback topology: H1 -> [H1 + B2 D_c2 H3;
-    B_c2 H3], H3 -> Dt_c2 H3, G -> [G, 0]; the plant supplies B2.
+    Returns an ``UncertaintyModel`` with the same F1/F2 patterns.  Series
+    controller: H1 -> [H1; B_c H3], H2 -> [H2; 0], H3 -> D_c H3,
+    E -> [E, 0], G unchanged.  Feedback-capable controller: H1 -> [H1 + B2
+    D_c2 H3; B_c2 H3], H2 -> [H2; 0], H3 -> Dt_c2 H3, E -> [E, 0],
+    G -> [G, 0]; the plant supplies B2.
     """
-    if topology == NO_FEEDBACK:
-        Bc, Dc = ctrl.B_c1, ctrl.D_c
-        k = ctrl.A_c.shape[0]
-        return AugmentedUncertainty(
-            H1=np.vstack([u.H1, Bc @ u.H3]),
-            H2=np.vstack([u.H2, np.zeros((k, u.H2.shape[1]))]),
-            H3=Dc @ u.H3,
-            E=np.hstack([u.E, np.zeros((u.E.shape[0], k))]),
-            G=u.G,
-            base=u,
-            topology=NO_FEEDBACK,
-        )
-    if topology == FEEDBACK:
+    k = ctrl.A_c.shape[0]
+    if getattr(ctrl, "feedback_capable", False):
         if plant is None or not plant.has_control_input:
             raise WrongTopology("feedback lift needs a plant with a control input")
-        B2 = plant.B2
-        Bc2, Dc2, Dtc2 = ctrl.B_c2, ctrl.D_c2, ctrl.Dt_c2
-        k = ctrl.A_c.shape[0]
-        ctrl_in = ctrl.B_c1.shape[1]
-        return AugmentedUncertainty(
-            H1=np.vstack([u.H1 + B2 @ Dc2 @ u.H3, Bc2 @ u.H3]),
-            H2=np.vstack([u.H2, np.zeros((k, u.H2.shape[1]))]),
-            H3=Dtc2 @ u.H3,
-            E=np.hstack([u.E, np.zeros((u.E.shape[0], k))]),
-            G=np.hstack([u.G, np.zeros((u.G.shape[0], ctrl_in))]),
-            base=u,
-            topology=FEEDBACK,
-        )
-    raise WrongTopology(f"unknown topology {topology!r}")
-
-
-def lifted_deltas(au, delta):
-    """Perturbation triple of the augmented system at one delta."""
-    return evaluate_deltas(au, delta)
+        H1 = np.vstack([u.H1 + plant.B2 @ ctrl.D_c2 @ u.H3, ctrl.B_c2 @ u.H3])
+        H3 = ctrl.Dt_c2 @ u.H3
+        G = np.hstack([u.G, np.zeros((u.G.shape[0], ctrl.B_c1.shape[1]))])
+    else:
+        H1 = np.vstack([u.H1, ctrl.B_c1 @ u.H3])
+        H3 = ctrl.D_c @ u.H3
+        G = u.G
+    return replace(
+        u,
+        H1=H1,
+        H2=np.vstack([u.H2, np.zeros((k, u.H2.shape[1]))]),
+        H3=H3,
+        E=np.hstack([u.E, np.zeros((u.E.shape[0], k))]),
+        G=G,
+    )

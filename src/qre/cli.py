@@ -59,13 +59,6 @@ def _load_config(path):
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if "topology" not in cfg:
         raise ValueError("config missing 'topology'")
-    if cfg["topology"] not in (
-        "classical",
-        "coherent_classical",
-        "classical_fb",
-        "coherent_classical_fb",
-    ):
-        raise ValueError(f"unknown topology {cfg['topology']!r}")
     return cfg
 
 
@@ -117,16 +110,10 @@ def _estimator_record(est, name):
 
 def cmd_synthesize(config, outdir):
     study = build_study(config)
-    records = []
-    if study.has_controller:
-        est = study.coherent_estimator()
-        records.append(_estimator_record(est, "coherent"))
-    else:
-        est = study.classical_estimator()
-        records.append(_estimator_record(est, "classical"))
-    payload = records[0] if len(records) == 1 else records
+    name = "coherent" if study.has_controller else "classical"
+    est = study.estimator(name)
     (outdir / "estimator.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True)
+        json.dumps(_estimator_record(est, name), indent=2, sort_keys=True)
     )
     _write_meta(outdir, "synthesize", config)
     print(
@@ -147,10 +134,8 @@ def _write_bode(study, config, outdir, command):
     omegas = _frequency_grid(config)
     delta = study.delta_design
     rows = []
-    for label, loop in (
-        ("classical", study.classical_closed_loop(delta)),
-        ("coherent", study.coherent_closed_loop(delta)),
-    ):
+    for label in study.channels:
+        loop = study.closed_loop(label, delta)
         for w, g in zip(omegas, frequency_response(loop, omegas)):
             mag = max_singular_value(g)
             if not np.isfinite(mag):
@@ -214,8 +199,8 @@ def cmd_reproduce(preset, outdir):
     if kind == "bode":
         _write_bode(study, config, outdir, f"reproduce:{preset}")
         delta = study.delta_design
-        n_cls = hinf_norm(study.classical_closed_loop(delta), allow_unstable=True)
-        n_coh = hinf_norm(study.coherent_closed_loop(delta), allow_unstable=True)
+        n_cls = hinf_norm(study.closed_loop("classical", delta), allow_unstable=True)
+        n_coh = hinf_norm(study.closed_loop("coherent", delta), allow_unstable=True)
         if not n_coh < n_cls:
             failures.append(
                 f"coherent peak gain {n_coh:.4g} not below classical {n_cls:.4g} "

@@ -2,19 +2,22 @@
 
 A *study* bundles an uncertain squeezer plant, a coherent controller, the
 homodyne map and the scaling parameters, and exposes the two competing
-filters: the purely classical estimator (driven by the measured plant
-output) and the coherent-classical estimator (driven by the measured output
-of the plant/controller interconnection).  Two benchmark parameter sets are
-provided, one for the series topology and one for the coherent-feedback
-topology.
+filters as named *channels*.  A channel is a measured system (fields A, B,
+C, D, L) paired with its ``UncertaintyModel``: ``"classical"`` measures the
+plant itself, ``"coherent"`` the plant/controller augmented system with the
+uncertainty lifted onto it.  Every channel goes through the same
+``assemble``, ``Study.estimator`` and ``Study.closed_loop``.  Two benchmark
+parameter sets are provided, one for the series topology and one for the
+coherent-feedback topology.
 """
 
 from dataclasses import dataclass, field
+from functools import partial, partialmethod
 
 import numpy as np
 
 from .analysis import closed_loop_error_system, delta_sweep
-from .augmentation import augment, augment_feedback, lift_uncertainty, lifted_deltas
+from .augmentation import augment, augment_feedback, lift_uncertainty
 from .quantum import (
     feedback_squeezer_controller,
     feedback_squeezer_plant,
@@ -22,13 +25,13 @@ from .quantum import (
     squeezer_controller,
     squeezer_plant,
 )
-from .synthesis import (
-    assemble_augmented,
-    assemble_classical,
-    assemble_feedback_classical,
-    synthesize,
-)
+from .synthesis import assemble, synthesize
 from .uncertainty import evaluate_deltas, squeezer_uncertainty
+
+# bindings of this module that the benchmark's span tracer
+# (benchmarks/spans.py) wraps by name
+assemble_classical = assemble_feedback_classical = assemble_augmented = assemble
+lifted_deltas = evaluate_deltas
 
 __all__ = [
     "Study",
@@ -87,7 +90,11 @@ def feedback_benchmark_config():
 
 @dataclass
 class Study:
-    """A fully assembled estimation study."""
+    """A fully assembled estimation study.
+
+    ``problems`` maps each channel name to its scaled problem; the
+    estimators are synthesized on first use and kept.
+    """
 
     config: dict
     topology: str
@@ -99,71 +106,73 @@ class Study:
     eps1: float
     eps2: float
     delta_design: float
-    classical_problem: object = None
-    coherent_problem: object = None
     augmented: object = None
     lifted: object = None
-    _classical_estimator: object = field(default=None, repr=False)
-    _coherent_estimator: object = field(default=None, repr=False)
+    problems: dict = field(default_factory=dict)
+    _estimators: dict = field(default_factory=dict, repr=False)
 
     @property
     def has_controller(self):
         return self.controller is not None
 
-    def classical_estimator(self, **kwargs):
-        if kwargs:
-            return synthesize(self.classical_problem, **kwargs)
-        if self._classical_estimator is None:
-            self._classical_estimator = synthesize(self.classical_problem)
-        return self._classical_estimator
+    @property
+    def channels(self):
+        """Measured system and its uncertainty model, per channel name."""
+        channels = {"classical": (self.plant, self.uncertainty)}
+        if self.augmented is not None:
+            channels["coherent"] = (self.augmented, self.lifted)
+        return channels
 
-    def coherent_estimator(self, **kwargs):
-        if self.coherent_problem is None:
-            raise ValueError("study has no coherent controller")
-        if kwargs:
-            return synthesize(self.coherent_problem, **kwargs)
-        if self._coherent_estimator is None:
-            self._coherent_estimator = synthesize(self.coherent_problem)
-        return self._coherent_estimator
+    def estimator(self, name):
+        """The channel's filter at the design point."""
+        if name not in self._estimators:
+            self._estimators[name] = synthesize(self.problems[name])
+        return self._estimators[name]
 
-    def classical_closed_loop(self, delta, estimator=None):
-        """Disturbance-to-error system of the classical filter at one delta."""
-        est = estimator if estimator is not None else self.classical_estimator()
-        d = evaluate_deltas(self.uncertainty, delta)
-        p = self.plant
+    def closed_loop(self, name, delta, estimator=None):
+        """Disturbance-to-error system of the channel's filter at one delta."""
+        est = estimator if estimator is not None else self.estimator(name)
+        system, u = self.channels[name]
+        d = evaluate_deltas(u, delta)
         return closed_loop_error_system(
-            p.A, p.B, p.C, p.D, p.L, self.S, est, deltas=d
+            system.A, system.B, system.C, system.D, system.L, self.S, est,
+            deltas=d,
         )
 
-    def coherent_closed_loop(self, delta, estimator=None):
-        """Disturbance-to-error system of the coherent-classical filter."""
-        est = estimator if estimator is not None else self.coherent_estimator()
-        d = lifted_deltas(self.lifted, delta)
-        a = self.augmented
-        return closed_loop_error_system(
-            a.A_a, a.B_a, a.C_a, a.D_a, a.L_a, self.S, est, deltas=d
-        )
+    # read by the benchmark's oracle workload (benchmarks/workloads.py)
+    classical_closed_loop = partialmethod(closed_loop, "classical")
+    coherent_closed_loop = partialmethod(closed_loop, "coherent")
 
     def sweep(self, deltas, rel_tol=1e-6):
-        """Classical and coherent-classical peak gains over a delta grid."""
-        classical = delta_sweep(
-            self.classical_closed_loop, deltas, label="classical", rel_tol=rel_tol
+        """Peak gains of every channel's filter over a delta grid."""
+        return tuple(
+            delta_sweep(
+                partial(self.closed_loop, name), deltas, label=name,
+                rel_tol=rel_tol,
+            )
+            for name in self.channels
         )
-        coherent = delta_sweep(
-            self.coherent_closed_loop, deltas, label="coherent", rel_tol=rel_tol
-        )
-        return classical, coherent
 
 
-def build_study(config, strict_pr=False):
+def build_study(config):
     """Assemble a Study from a configuration mapping.
 
     The configuration uses the same schema as the CLI: a ``topology``
-    discriminator plus plant/controller parameter groups, homodyne angles
-    in degrees, and the scaling parameters gamma, eps1, eps2.
+    discriminator (``classical``, ``coherent_classical``, ``classical_fb``
+    or ``coherent_classical_fb``) plus plant/controller parameter groups,
+    homodyne angles in degrees, and the scaling parameters gamma, eps1,
+    eps2.  A true ``strict_pr`` entry rejects physically unrealizable
+    plant/controller parameters.
     """
-    strict_pr = strict_pr or bool(config.get("strict_pr", False))
     topology = config["topology"]
+    if topology not in (
+        "classical",
+        "coherent_classical",
+        "classical_fb",
+        "coherent_classical_fb",
+    ):
+        raise ValueError(f"unknown topology {topology!r}")
+    strict_pr = bool(config.get("strict_pr", False))
     pc = config["plant"]
     angles = np.deg2rad(np.atleast_1d(config["homodyne_angles_deg"]))
     S = homodyne_matrix(angles)
@@ -172,7 +181,7 @@ def build_study(config, strict_pr=False):
     eps1 = float(config["eps1"])
     eps2 = float(config["eps2"])
 
-    feedback = topology in ("classical_fb", "coherent_classical_fb")
+    feedback = topology.endswith("_fb")
     if feedback:
         plant = feedback_squeezer_plant(
             pc["beta"], pc["kappa1"], pc["kappa2"], pc["chi"], pc["L"],
@@ -186,39 +195,23 @@ def build_study(config, strict_pr=False):
         alpha = np.sqrt(pc["kappa"])
     u = squeezer_uncertainty(alpha, mu)
 
-    controller = None
-    if topology in ("coherent_classical", "coherent_classical_fb"):
+    controller = augmented = lifted = None
+    if topology.startswith("coherent"):
         cc = config["controller"]
         if feedback:
             controller = feedback_squeezer_controller(
                 cc["beta_c"], cc["kappa_c1"], cc["kappa_c2"], cc["chi_c"],
                 strict=strict_pr,
             )
+            augmented = augment_feedback(plant, controller)
         else:
             controller = squeezer_controller(
                 cc["beta_c"], cc["kappa_c"], cc["chi_c"], strict=strict_pr
             )
-
-    if feedback:
-        classical_problem = assemble_feedback_classical(
-            plant, u, S, gamma, eps1, eps2
-        )
-    else:
-        classical_problem = assemble_classical(plant, u, S, gamma, eps1, eps2)
-
-    augmented = lifted = coherent_problem = None
-    if controller is not None:
-        if feedback:
-            augmented = augment_feedback(plant, controller)
-            lifted = lift_uncertainty(u, controller, "feedback", plant=plant)
-        else:
             augmented = augment(plant, controller)
-            lifted = lift_uncertainty(u, controller, "no_feedback")
-        coherent_problem = assemble_augmented(
-            augmented, lifted, S, gamma, eps1, eps2
-        )
+        lifted = lift_uncertainty(u, controller, plant=plant)
 
-    return Study(
+    study = Study(
         config=dict(config),
         topology=topology,
         plant=plant,
@@ -229,8 +222,11 @@ def build_study(config, strict_pr=False):
         eps1=eps1,
         eps2=eps2,
         delta_design=float(config.get("delta_design", -1.0)),
-        classical_problem=classical_problem,
-        coherent_problem=coherent_problem,
         augmented=augmented,
         lifted=lifted,
     )
+    study.problems = {
+        name: assemble(system, model, S, gamma, eps1, eps2)
+        for name, (system, model) in study.channels.items()
+    }
+    return study

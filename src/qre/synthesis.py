@@ -1,8 +1,10 @@
 """Robust H-infinity estimator synthesis.
 
-Assembles the scaled estimation problem from a (possibly augmented) system
-plus its uncertainty factors and homodyne map, solves the two algebraic
-Riccati equations, and builds the estimator matrices.
+``assemble`` builds the scaled estimation problem of one measured channel:
+a system with fields A, B, C, D, L (the plant for the classical filter, the
+plant/controller augmented system for the coherent-classical one), its
+uncertainty model and the homodyne map.  ``synthesize`` solves the two
+algebraic Riccati equations and builds the estimator matrices.
 
 Two gain conventions are supported for the measurement-injection gain B_K.
 The "reproduction" convention uses a gamma^-2 prefactor on the coupling term
@@ -35,9 +37,7 @@ from .linalg import (
 __all__ = [
     "ScaledProblem",
     "Estimator",
-    "assemble_classical",
-    "assemble_feedback_classical",
-    "assemble_augmented",
+    "assemble",
     "synthesize",
     "eps_grid_search",
 ]
@@ -117,15 +117,22 @@ def _scaling_inv_sqrt(G, eps2):
     return hermitian_inv_sqrt(M)
 
 
-def _assemble(A, C2, S, B, D, L, H1, H2, H3, E, G, gamma, eps1, eps2):
-    """Common scaled-problem assembly.
+def assemble(system, u, S, gamma, eps1, eps2):
+    """Scaled problem for a filter on the homodyne measurement of a channel.
 
-    B and D are the full input/feedthrough maps; the scaling
-    (I - eps2^2 G^dag G)^(-1/2) acts on all their columns (G carries zero
-    columns for inputs outside the uncertain block).
+    ``system`` is the measured system (fields A, B, C, D, L): a plant, or a
+    plant/controller augmented system.  ``u`` is its uncertainty model.  The
+    scaling (I - eps2^2 G^dag G)^(-1/2) acts on all columns of B and D; the
+    uncertain block drives the leading inputs, so a G narrower than B gets
+    zero columns for the rest (the control input of a two-port plant).
     """
     if gamma <= 0 or eps1 <= 0 or eps2 <= 0:
         raise QreError("gamma, eps1, eps2 must all be positive")
+    A, B, C, D, L = system.A, system.B, system.C, system.D, system.L
+    H1, H2, H3, E, G = u.H1, u.H2, u.H3, u.E, u.G
+    S = as_cmatrix(S)
+    if G.shape[1] < B.shape[1]:
+        G = np.hstack([G, np.zeros((G.shape[0], B.shape[1] - G.shape[1]))])
     Mis = _scaling_inv_sqrt(G, eps2)
     r2p = G.shape[0]
     B1bar = np.hstack([B @ Mis, gamma / eps1 * H1, gamma / eps2 * H2])
@@ -152,7 +159,7 @@ def _assemble(A, C2, S, B, D, L, H1, H2, H3, E, G, gamma, eps1, eps2):
         raise SingularE2(f"measurement weighting has eigenvalue {w[0]:.3e}")
     return ScaledProblem(
         Abar=A,
-        C2bar=C2,
+        C2bar=C,
         Sbar=S,
         B1bar=B1bar,
         C1bar=C1bar,
@@ -166,73 +173,8 @@ def _assemble(A, C2, S, B, D, L, H1, H2, H3, E, G, gamma, eps1, eps2):
     )
 
 
-def assemble_classical(plant, u, S, gamma, eps1, eps2):
-    """Scaled problem for estimating directly from the plant output."""
-    return _assemble(
-        plant.A,
-        plant.C,
-        as_cmatrix(S),
-        plant.B1,
-        plant.D1,
-        plant.L,
-        u.H1,
-        u.H2,
-        u.H3,
-        u.E,
-        u.G,
-        gamma,
-        eps1,
-        eps2,
-    )
-
-
-def assemble_feedback_classical(plant, u, S, gamma, eps1, eps2):
-    """Scaled problem for a two-input plant measured directly.
-
-    The control input column enters the disturbance block unscaled (its
-    uncertainty factor G is zero there) and carries no feedthrough.
-    """
-    if not plant.has_control_input:
-        return assemble_classical(plant, u, S, gamma, eps1, eps2)
-    q2 = plant.B2.shape[1]
-    Gfull = np.hstack([u.G, np.zeros((u.G.shape[0], q2))])
-    return _assemble(
-        plant.A,
-        plant.C,
-        as_cmatrix(S),
-        plant.B,
-        plant.D,
-        plant.L,
-        u.H1,
-        u.H2,
-        u.H3,
-        u.E,
-        Gfull,
-        gamma,
-        eps1,
-        eps2,
-    )
-
-
-def assemble_augmented(aug, au, S, gamma, eps1, eps2):
-    """Scaled problem for a plant/controller augmented system with lifted
-    uncertainty factors."""
-    return _assemble(
-        aug.A_a,
-        aug.C_a,
-        as_cmatrix(S),
-        aug.B_a,
-        aug.D_a,
-        aug.L_a,
-        au.H1,
-        au.H2,
-        au.H3,
-        au.E,
-        au.G,
-        gamma,
-        eps1,
-        eps2,
-    )
+# the benchmark's design workload (benchmarks/workloads.py) calls these names
+assemble_classical = assemble_feedback_classical = assemble_augmented = assemble
 
 
 def riccati_residual_x(p, X):

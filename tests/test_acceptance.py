@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from qre import grid_peak_gain, hinf_norm
-from qre.augmentation import augment, lift_uncertainty, lifted_deltas
+from qre.augmentation import augment, lift_uncertainty
 from qre.quantum import homodyne_matrix, is_doubled, omega
 from qre.synthesis import (
-    assemble_augmented,
-    assemble_classical,
+    assemble,
     riccati_residual_x,
     riccati_residual_y,
 )
@@ -67,8 +66,8 @@ FEEDBACK_COHERENT_BK = np.array(
 def sweeps(series_study, feedback_study, delta_grid_21):
     out = {}
     for name, study in (("series", series_study), ("feedback", feedback_study)):
-        loops_c = [study.classical_closed_loop(d) for d in delta_grid_21]
-        loops_q = [study.coherent_closed_loop(d) for d in delta_grid_21]
+        loops_c = [study.closed_loop("classical", d) for d in delta_grid_21]
+        loops_q = [study.closed_loop("coherent", d) for d in delta_grid_21]
         out[name] = {
             "loops": loops_c + loops_q,
             "classical": np.array(
@@ -83,7 +82,7 @@ def sweeps(series_study, feedback_study, delta_grid_21):
 
 def test_criterion_1_series_classical_reference_matrices(series_study):
     t0 = time.perf_counter()
-    est = series_study.classical_estimator()
+    est = series_study.estimator("classical")
     elapsed = time.perf_counter() - t0
     err_a = np.abs(est.A_K - SERIES_CLASSICAL_AK).max()
     err_b = np.abs(est.B_K - SERIES_CLASSICAL_BK).max()
@@ -95,7 +94,7 @@ def test_criterion_1_series_classical_reference_matrices(series_study):
 
 
 def test_criterion_2_series_coherent_reference_matrices(series_study):
-    est = series_study.coherent_estimator()
+    est = series_study.estimator("coherent")
     err_a = np.abs(est.A_K - SERIES_COHERENT_AK).max()
     err_b = np.abs(est.B_K - SERIES_COHERENT_BK).max()
     assert err_a <= 1e-2, f"A_K max error {err_a:.2e}"
@@ -105,8 +104,8 @@ def test_criterion_2_series_coherent_reference_matrices(series_study):
 
 
 def test_criterion_3_feedback_reference_matrices(feedback_study):
-    est_c = feedback_study.classical_estimator()
-    est_q = feedback_study.coherent_estimator()
+    est_c = feedback_study.estimator("classical")
+    est_q = feedback_study.estimator("coherent")
     errs = [
         np.abs(est_c.A_K - FEEDBACK_CLASSICAL_AK).max(),
         np.abs(est_c.B_K - FEEDBACK_CLASSICAL_BK).max(),
@@ -125,8 +124,8 @@ def test_criterion_3_feedback_reference_matrices(feedback_study):
 
 def test_criterion_4_design_point_dominance(series_study, feedback_study):
     for name, study in (("series", series_study), ("feedback", feedback_study)):
-        n_c = hinf_norm(study.classical_closed_loop(-1.0), allow_unstable=True)
-        n_q = hinf_norm(study.coherent_closed_loop(-1.0), allow_unstable=True)
+        n_c = hinf_norm(study.closed_loop("classical", -1.0), allow_unstable=True)
+        n_q = hinf_norm(study.closed_loop("coherent", -1.0), allow_unstable=True)
         assert n_q < n_c, f"{name}: coherent {n_q:.4f} !< classical {n_c:.4f}"
     print("\ncriterion 4 PASS: coherent filter dominates at the design point")
 
@@ -155,10 +154,8 @@ def test_criterion_6_feedback_dominance_and_spread(sweeps):
 def test_criterion_7_riccati_residuals(series_study, feedback_study):
     worst = 0.0
     for study in (series_study, feedback_study):
-        for problem, est in (
-            (study.classical_problem, study.classical_estimator()),
-            (study.coherent_problem, study.coherent_estimator()),
-        ):
+        for name, problem in study.problems.items():
+            est = study.estimator(name)
             rx = riccati_residual_x(problem, est.X.X)
             ry = riccati_residual_y(problem, est.Y.X)
             assert rx <= 1e-8 and ry <= 1e-8
@@ -210,7 +207,7 @@ def test_criterion_9_structural_suite(series_study, feedback_study):
         ctrl = study.controller
         for d in (-1.0, -0.5, 0.0, 0.5, 1.0):
             t = evaluate_deltas(study.uncertainty, d)
-            ta = lifted_deltas(study.lifted, d)
+            ta = evaluate_deltas(study.lifted, d)
             if study.topology == "coherent_classical":
                 da = np.block(
                     [
@@ -241,10 +238,10 @@ def test_criterion_9_structural_suite(series_study, feedback_study):
         series_study.uncertainty,
         series_study.S,
     )
-    pc = assemble_classical(plant, u, S, 0.65, 0.19, 0.81)
-    pa = assemble_augmented(
+    pc = assemble(plant, u, S, 0.65, 0.19, 0.81)
+    pa = assemble(
         augment(plant, ctrl),
-        lift_uncertainty(u, ctrl, "no_feedback"),
+        lift_uncertainty(u, ctrl),
         S,
         0.65,
         0.19,

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,7 @@ class TestClosedLoopErrorSystem:
 
         p = series_study.plant
         est = dataclasses.replace(
-            series_study.classical_estimator(),
+            series_study.estimator("classical"),
             C_K=np.zeros((1, 2)),
         )
         loop = closed_loop_error_system(
@@ -116,25 +118,25 @@ class TestClosedLoopErrorSystem:
         assert all(np.allclose(m, 0) for m in g)
 
     def test_state_dimensions(self, series_study):
-        cls_loop = series_study.classical_closed_loop(-1.0)
-        coh_loop = series_study.coherent_closed_loop(-1.0)
+        cls_loop = series_study.closed_loop("classical", -1.0)
+        coh_loop = series_study.closed_loop("coherent", -1.0)
         assert cls_loop.A.shape == (4, 4)
         assert coh_loop.A.shape == (8, 8)
 
     def test_dc_gain_oracle(self, series_study):
-        loop = series_study.classical_closed_loop(-1.0)
+        loop = series_study.closed_loop("classical", -1.0)
         dc = frequency_response(loop, [0.0])[0]
         expected = -loop.C @ np.linalg.solve(loop.A, loop.B)
         np.testing.assert_allclose(dc, expected, atol=1e-12)
 
     def test_channel_selection_width(self, series_study):
         # default channel keeps the first half of the doubled input block
-        loop = series_study.classical_closed_loop(0.0)
+        loop = series_study.closed_loop("classical", 0.0)
         assert loop.B.shape[1] == series_study.S.shape[0]
 
     def test_channel_out_of_range(self, series_study):
         p = series_study.plant
-        est = series_study.classical_estimator()
+        est = series_study.estimator("classical")
         with pytest.raises(ChannelOutOfRange):
             closed_loop_error_system(
                 p.A, p.B, p.C, p.D, p.L, series_study.S, est, channel=[5]
@@ -165,7 +167,7 @@ class TestFrequencyResponse:
         # frequency; selecting a single column breaks this, which is why
         # norms are evaluated over both signs
         a = series_study.augmented
-        ss = StateSpace(a.A_a, a.B_a, a.C_a, a.D_a)
+        ss = StateSpace(a.A, a.B, a.C, a.D)
         for w in (0.1, 1.0, 3.7, 20.0):
             gp, gm = frequency_response(ss, [w, -w])
             assert max_singular_value(gp) == pytest.approx(
@@ -220,8 +222,8 @@ class TestLevelSetAgainstBisection:
     def test_benchmark_loops(self, series_study, feedback_study, delta_grid_21):
         for study in (series_study, feedback_study):
             for d in delta_grid_21[::4]:
-                self.check(study.classical_closed_loop(d))
-                self.check(study.coherent_closed_loop(d))
+                self.check(study.closed_loop("classical", d))
+                self.check(study.closed_loop("coherent", d))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -278,7 +280,7 @@ class TestHinfNorm:
         assert norm >= grid_peak_gain(ss) * (1 - 1e-6)
 
     def test_peak_frequency_consistency(self, series_study):
-        loop = series_study.classical_closed_loop(-1.0)
+        loop = series_study.closed_loop("classical", -1.0)
         norm, w = hinf_norm(loop, allow_unstable=True, return_frequency=True)
         gain = max_singular_value(frequency_response(loop, [w])[0])
         assert gain == pytest.approx(norm, rel=1e-5)
@@ -288,7 +290,7 @@ class TestDeltaSweep:
     def test_constant_under_zero_uncertainty(self, series_study):
         u0 = squeezer_uncertainty(2.0, 0.0)
         p = series_study.plant
-        est = series_study.classical_estimator()
+        est = series_study.estimator("classical")
 
         def builder(d):
             return closed_loop_error_system(
@@ -302,7 +304,8 @@ class TestDeltaSweep:
 
     def test_bookkeeping(self, series_study):
         res = delta_sweep(
-            series_study.classical_closed_loop, [-1.0, 0.0, 1.0], label="classical"
+            partial(series_study.closed_loop, "classical"), [-1.0, 0.0, 1.0],
+            label="classical",
         )
         assert res.deltas == (-1.0, 0.0, 1.0)
         assert len(res.norms) == 3
@@ -336,8 +339,8 @@ class TestStackedKernel:
         self, series_study, feedback_study, delta_grid_21
     ):
         for study in (series_study, feedback_study):
-            for builder in (study.classical_closed_loop,
-                            study.coherent_closed_loop):
+            for name in study.channels:
+                builder = partial(study.closed_loop, name)
                 res = delta_sweep(builder, delta_grid_21)
                 ref = [hinf_norm(builder(d), allow_unstable=True)
                        for d in delta_grid_21]

@@ -5,7 +5,6 @@ from qre.augmentation import (
     augment,
     augment_feedback,
     lift_uncertainty,
-    lifted_deltas,
 )
 from qre.errors import WrongTopology
 from qre.quantum import (
@@ -46,22 +45,22 @@ class TestAugment:
             D_c=np.eye(2),
         )
         a = augment(plant, ctrl)
-        np.testing.assert_array_equal(a.A_a[:2, 2:], np.zeros((2, 2)))
-        np.testing.assert_array_equal(a.A_a[2:, :2], np.zeros((2, 2)))
-        np.testing.assert_array_equal(a.C_a, np.hstack([plant.C, np.zeros((2, 2))]))
-        np.testing.assert_array_equal(a.D_a, plant.D1)
+        np.testing.assert_array_equal(a.A[:2, 2:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(a.A[2:, :2], np.zeros((2, 2)))
+        np.testing.assert_array_equal(a.C, np.hstack([plant.C, np.zeros((2, 2))]))
+        np.testing.assert_array_equal(a.D, plant.D1)
 
     def test_benchmark_coupling_block(self, series_parts):
         plant, ctrl, _ = series_parts
         a = augment(plant, ctrl)
-        np.testing.assert_array_equal(a.A_a[2:, :2], -4 * np.eye(2))
-        np.testing.assert_array_equal(a.L_a, [[0.1, -0.1, 0, 0]])
+        np.testing.assert_array_equal(a.A[2:, :2], -4 * np.eye(2))
+        np.testing.assert_array_equal(a.L, [[0.1, -0.1, 0, 0]])
 
     def test_dimensions(self, series_parts):
         plant, ctrl, _ = series_parts
         a = augment(plant, ctrl)
-        assert a.A_a.shape == (4, 4)
-        assert a.B_a.shape == (4, 2)
+        assert a.A.shape == (4, 4)
+        assert a.B.shape == (4, 2)
 
     def test_rejects_feedback_controller(self, feedback_parts):
         plant, ctrl, _ = feedback_parts
@@ -71,7 +70,7 @@ class TestAugment:
     def test_preserves_doubled_structure(self, series_parts):
         plant, ctrl, _ = series_parts
         a = augment(plant, ctrl)
-        for m in (a.A_a, a.B_a, a.C_a, a.D_a):
+        for m in (a.A, a.B, a.C, a.D):
             assert is_doubled(deinterleave(m))
 
 
@@ -91,16 +90,16 @@ class TestAugmentFeedback:
             feedback_capable=True,
         )
         a = augment_feedback(plant, ctrl)
-        np.testing.assert_array_equal(a.A_a[:2, :2], plant.A)
-        np.testing.assert_array_equal(a.A_a[:2, 2:], np.zeros((2, 2)))
-        np.testing.assert_array_equal(a.A_a[2:, :2], np.zeros((2, 2)))
+        np.testing.assert_array_equal(a.A[:2, :2], plant.A)
+        np.testing.assert_array_equal(a.A[:2, 2:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(a.A[2:, :2], np.zeros((2, 2)))
 
     def test_benchmark_blocks(self, feedback_parts):
         plant, ctrl, _ = feedback_parts
         a = augment_feedback(plant, ctrl)
         # closing the loop shifts the plant poles by B2 Dc2 C = -2 I
-        np.testing.assert_allclose(a.A_a[:2, :2], plant.A - 2 * np.eye(2))
-        np.testing.assert_allclose(a.B_a[2:, :2], -np.sqrt(2) * np.eye(2))
+        np.testing.assert_allclose(a.A[:2, :2], plant.A - 2 * np.eye(2))
+        np.testing.assert_allclose(a.B[2:, :2], -np.sqrt(2) * np.eye(2))
 
     def test_rejects_wrong_parts(self, series_parts, feedback_parts):
         splant, sctrl, _ = series_parts
@@ -113,7 +112,7 @@ class TestAugmentFeedback:
     def test_preserves_doubled_structure(self, feedback_parts):
         plant, ctrl, _ = feedback_parts
         a = augment_feedback(plant, ctrl)
-        for m in (a.A_a, a.B_a, a.C_a, a.D_a):
+        for m in (a.A, a.B, a.C, a.D):
             assert is_doubled(deinterleave(m))
 
 
@@ -126,13 +125,13 @@ class TestLiftUncertainty:
             C_c=np.zeros((2, 2)),
             D_c=np.zeros((2, 2)),
         )
-        au = lift_uncertainty(u, ctrl, "no_feedback")
+        au = lift_uncertainty(u, ctrl)
         np.testing.assert_array_equal(au.H1[2:], np.zeros((2, 4)))
         np.testing.assert_array_equal(au.H3, np.zeros((2, 4)))
 
     def test_benchmark_lower_block(self, series_parts):
         _, ctrl, u = series_parts
-        au = lift_uncertainty(u, ctrl, "no_feedback")
+        au = lift_uncertainty(u, ctrl)
         # independent oracle: direct product of the controller input block
         # with the plant output factor
         np.testing.assert_allclose(au.H1[2:], ctrl.B_c1 @ u.H3)
@@ -141,10 +140,10 @@ class TestLiftUncertainty:
 
     def test_series_consistency_identity(self, series_parts):
         plant, ctrl, u = series_parts
-        au = lift_uncertainty(u, ctrl, "no_feedback")
+        au = lift_uncertainty(u, ctrl)
         for d in np.linspace(-1, 1, 11):
             t = evaluate_deltas(u, d)
-            ta = lifted_deltas(au, d)
+            ta = evaluate_deltas(au, d)
             expected_dA = np.block(
                 [
                     [t.dA, np.zeros((2, 2))],
@@ -163,10 +162,10 @@ class TestLiftUncertainty:
 
     def test_feedback_consistency_identity(self, feedback_parts):
         plant, ctrl, u = feedback_parts
-        au = lift_uncertainty(u, ctrl, "feedback", plant=plant)
+        au = lift_uncertainty(u, ctrl, plant=plant)
         for d in (-1.0, -0.5, 0.0, 0.5, 1.0):
             t = evaluate_deltas(u, d)
-            ta = lifted_deltas(au, d)
+            ta = evaluate_deltas(au, d)
             expected_dA = np.block(
                 [
                     [t.dA + plant.B2 @ ctrl.D_c2 @ t.dC, np.zeros((2, 2))],
@@ -190,6 +189,4 @@ class TestLiftUncertainty:
     def test_feedback_lift_requires_plant(self, feedback_parts):
         _, ctrl, u = feedback_parts
         with pytest.raises(WrongTopology):
-            lift_uncertainty(u, ctrl, "feedback")
-        with pytest.raises(WrongTopology):
-            lift_uncertainty(u, ctrl, "sideways")
+            lift_uncertainty(u, ctrl)

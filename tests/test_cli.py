@@ -77,6 +77,25 @@ class TestSynthesizeCommand:
         assert rc == 3
         assert "ARE" in capsys.readouterr().err
 
+    def test_unknown_topology_exits_2(self, tmp_path, capsys):
+        cfg = series_benchmark_config()
+        cfg["topology"] = "coherent_clasical"
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "unknown topology 'coherent_clasical'" in capsys.readouterr().err
+
+    def test_strict_pr_rejects_unrealizable_plant(self, tmp_path, capsys):
+        cfg = series_benchmark_config()
+        cfg["plant"]["beta"] = 5.0  # beta != kappa
+        path = write_config(tmp_path, cfg)
+        assert main(["synthesize", "--config", path, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["synthesize", "--config", path, "--out", str(tmp_path),
+                   "--strict-pr"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

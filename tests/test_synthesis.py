@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qre.analysis import StateSpace, hinf_norm
-from qre.augmentation import augment, lift_uncertainty
-from qre.errors import CareFailure, ScalingTooLarge
+from qre.augmentation import augment, augment_feedback, lift_uncertainty
+from qre.errors import CareFailure, QreError, ScalingTooLarge
 from qre.quantum import (
+    CoherentController,
     deinterleave,
     feedback_squeezer_plant,
     homodyne_matrix,
@@ -13,9 +16,8 @@ from qre.quantum import (
     squeezer_plant,
 )
 from qre.synthesis import (
-    assemble_augmented,
-    assemble_classical,
-    assemble_feedback_classical,
+    ScaledProblem,
+    assemble,
     eps_grid_search,
     riccati_residual_x,
     riccati_residual_y,
@@ -35,7 +37,7 @@ def series_parts():
 class TestAssembleClassical:
     def test_structure_constants(self, series_parts):
         plant, u, S = series_parts
-        p = assemble_classical(plant, u, S, 0.65, 0.19, 0.81)
+        p = assemble(plant, u, S, 0.65, 0.19, 0.81)
         np.testing.assert_allclose(p.E1bar, np.eye(1), atol=1e-14)
         np.testing.assert_array_equal(
             p.D12bar, np.vstack([np.zeros((6, 1)), -np.eye(1)])
@@ -48,7 +50,7 @@ class TestAssembleClassical:
 
     def test_input_scaling_factor(self, series_parts):
         plant, u, S = series_parts
-        p = assemble_classical(plant, u, S, 0.65, 0.19, 0.81)
+        p = assemble(plant, u, S, 0.65, 0.19, 0.81)
         factor = 1 / np.sqrt(1 - 0.81**2)
         np.testing.assert_allclose(p.B1bar[:, :2], plant.B1 * factor, rtol=1e-12)
         np.testing.assert_allclose(
@@ -64,7 +66,7 @@ class TestAssembleClassical:
         import dataclasses
 
         u0 = dataclasses.replace(u0, G=np.zeros((2, 2)))
-        p = assemble_classical(plant, u0, S, 0.65, 0.19, 0.81)
+        p = assemble(plant, u0, S, 0.65, 0.19, 0.81)
         np.testing.assert_allclose(p.B1bar[:, :2], plant.B1, atol=1e-14)
         expected = S @ plant.D1 @ plant.D1.conj().T @ S.conj().T
         np.testing.assert_allclose(p.E2bar, expected, atol=1e-14)
@@ -72,7 +74,7 @@ class TestAssembleClassical:
     def test_scaling_too_large(self, series_parts):
         plant, u, S = series_parts
         with pytest.raises(ScalingTooLarge):
-            assemble_classical(plant, u, S, 0.65, 0.19, 1.0)
+            assemble(plant, u, S, 0.65, 0.19, 1.0)
 
 
 class TestAssembleFeedbackClassical:
@@ -85,7 +87,7 @@ class TestAssembleFeedbackClassical:
 
     def test_column_blocks(self, feedback_parts):
         plant, u, S = feedback_parts
-        p = assemble_feedback_classical(plant, u, S, 0.65, 0.2, 0.6)
+        p = assemble(plant, u, S, 0.65, 0.2, 0.6)
         assert p.B1bar.shape[1] == 2 + 2 + 4 + 2
         np.testing.assert_allclose(p.B1bar[:, :2], plant.B1 * 1.25, rtol=1e-12)
         np.testing.assert_allclose(p.B1bar[:, 2:4], plant.B2, rtol=1e-12)
@@ -96,8 +98,8 @@ class TestAssembleFeedbackClassical:
         plant1 = squeezer_plant(4.0, 4.0, 0.5, [0.1, -0.1])
         u = squeezer_uncertainty(2.0, 0.1)
         S = homodyne_matrix([np.deg2rad(10.0)])
-        p2 = assemble_feedback_classical(plant2, u, S, 0.65, 0.19, 0.81)
-        p1 = assemble_classical(plant1, u, S, 0.65, 0.19, 0.81)
+        p2 = assemble(plant2, u, S, 0.65, 0.19, 0.81)
+        p1 = assemble(plant1, u, S, 0.65, 0.19, 0.81)
         np.testing.assert_allclose(p2.B1bar[:, :2], p1.B1bar[:, :2], atol=1e-12)
         np.testing.assert_allclose(p2.B1bar[:, 2:4], np.zeros((2, 2)), atol=1e-12)
         np.testing.assert_allclose(p2.B1bar[:, 4:], p1.B1bar[:, 2:], atol=1e-12)
@@ -111,9 +113,9 @@ class TestAssembleAugmented:
         plant, u, S = series_parts
         ctrl = squeezer_controller(4.0, 4.0, -1.0)
         aug = augment(plant, ctrl)
-        au = lift_uncertainty(u, ctrl, "no_feedback")
-        pa = assemble_augmented(aug, au, S, 0.65, 0.19, 0.81)
-        pc = assemble_classical(plant, u, S, 0.65, 0.19, 0.81)
+        au = lift_uncertainty(u, ctrl)
+        pa = assemble(aug, au, S, 0.65, 0.19, 0.81)
+        pc = assemble(plant, u, S, 0.65, 0.19, 0.81)
         np.testing.assert_allclose(
             pa.Abar,
             np.block(
@@ -143,9 +145,9 @@ class TestAssembleAugmented:
     def test_dimensions(self, series_parts):
         plant, u, S = series_parts
         ctrl = squeezer_controller(4.0, 4.0, -1.0)
-        pa = assemble_augmented(
+        pa = assemble(
             augment(plant, ctrl),
-            lift_uncertainty(u, ctrl, "no_feedback"),
+            lift_uncertainty(u, ctrl),
             S,
             0.65,
             0.19,
@@ -157,17 +159,17 @@ class TestAssembleAugmented:
 
 class TestSynthesize:
     def test_estimator_gain_is_estimand_row(self, series_study):
-        est = series_study.classical_estimator()
+        est = series_study.estimator("classical")
         np.testing.assert_allclose(est.C_K, [[0.1, -0.1]], atol=1e-14)
-        est_a = series_study.coherent_estimator()
+        est_a = series_study.estimator("coherent")
         np.testing.assert_allclose(est_a.C_K, [[0.1, -0.1, 0, 0]], atol=1e-14)
 
     def test_conjugate_pairing(self, series_study, feedback_study):
         for est in (
-            series_study.classical_estimator(),
-            series_study.coherent_estimator(),
-            feedback_study.classical_estimator(),
-            feedback_study.coherent_estimator(),
+            series_study.estimator("classical"),
+            series_study.estimator("coherent"),
+            feedback_study.estimator("classical"),
+            feedback_study.estimator("coherent"),
         ):
             assert is_doubled(deinterleave(est.A_K), tol=1e-10)
             # gain rows come in conjugate pairs, one per mode
@@ -177,7 +179,7 @@ class TestSynthesize:
 
     def test_riccati_residuals_within_gate(self, series_study, feedback_study):
         for study in (series_study, feedback_study):
-            for problem in (study.classical_problem, study.coherent_problem):
+            for problem in study.problems.values():
                 est = synthesize(problem)
                 assert riccati_residual_x(problem, est.X.X) <= 1e-8
                 assert riccati_residual_y(problem, est.Y.X) <= 1e-8
@@ -187,7 +189,7 @@ class TestSynthesize:
     def test_nominal_performance_theorem_convention(self, series_study):
         # with the gamma^2 gain prefactor, the filter is stable and the full
         # scaled disturbance-to-error channel stays below gamma
-        p = series_study.classical_problem
+        p = series_study.problems["classical"]
         est = synthesize(p, gain_convention="theorem")
         assert est.stable
         n = p.n
@@ -204,7 +206,7 @@ class TestSynthesize:
         assert hinf_norm(ss) <= p.gamma + 1e-6
 
     def test_coupling_diagnostics_reported(self, series_study):
-        est = series_study.classical_estimator()
+        est = series_study.estimator("classical")
         assert np.isfinite(est.coupling_condition)
         assert est.spectral_abscissa == pytest.approx(
             np.max(np.linalg.eigvals(est.A_K).real)
@@ -214,7 +216,7 @@ class TestSynthesize:
         plant, u, S = series_parts
         # an unreachable attenuation level leaves the state equation without
         # a stabilizing solution
-        p = assemble_classical(plant, u, S, 0.01, 0.19, 0.81)
+        p = assemble(plant, u, S, 0.01, 0.19, 0.81)
         with pytest.raises(CareFailure) as exc:
             synthesize(p)
         assert exc.value.which in ("X", "Y")
@@ -224,14 +226,110 @@ class TestEpsGridSearch:
     def test_smoke(self, series_parts):
         plant, u, S = series_parts
 
-        def assemble(e1, e2):
-            return assemble_classical(plant, u, S, 0.65, e1, e2)
+        def assemble_at(e1, e2):
+            return assemble(plant, u, S, 0.65, e1, e2)
 
         e1, e2, val, est = eps_grid_search(
-            assemble,
+            assemble_at,
             lambda est: est.coupling_condition,
             eps1_grid=[0.1, 0.19],
             eps2_grid=[0.5, 0.81],
         )
         assert (e1, e2) in {(a, b) for a in (0.1, 0.19) for b in (0.5, 0.81)}
         assert np.isfinite(val)
+
+
+def pass_through_controller():
+    """Zero-state series controller whose output is its input."""
+    return CoherentController(
+        A_c=np.zeros((0, 0)),
+        B_c1=np.zeros((0, 2)),
+        C_c=np.zeros((2, 0)),
+        D_c=np.eye(2),
+    )
+
+
+def pass_through_feedback_controller():
+    """Zero-state feedback-capable controller that passes the plant output
+    to the detector and its own input field to the plant's control port."""
+    return CoherentController(
+        A_c=np.zeros((0, 0)),
+        B_c1=np.zeros((0, 2)),
+        B_c2=np.zeros((0, 2)),
+        Ct_c=np.zeros((2, 0)),
+        C_c=np.zeros((2, 0)),
+        Dt_c1=np.zeros((2, 2)),
+        Dt_c2=np.eye(2),
+        D_c1=np.eye(2),
+        D_c2=np.zeros((2, 2)),
+        feedback_capable=True,
+    )
+
+
+def assemble_or_error(system, u, S, scaling):
+    try:
+        return assemble(system, u, S, *scaling)
+    except QreError as exc:
+        return type(exc)
+
+
+def assert_same_problem(p, q):
+    if isinstance(p, type) or isinstance(q, type):
+        assert p is q
+        return
+    # exact equality, entry for entry; only the sign of a zero may differ
+    # (a product with a zero block can round to -0.0)
+    for name in ScaledProblem.__dataclass_fields__:
+        a, b = np.asarray(getattr(p, name)), np.asarray(getattr(q, name))
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name, strict=True)
+
+
+positive = st.floats(0.25, 8.0)
+scaling = st.tuples(st.floats(0.1, 2.0), st.floats(0.05, 1.0), st.floats(0.05, 1.2))
+squeezing = st.floats(-3.0, 3.0)
+estimand = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+uncertainty = st.floats(0.0, 0.5)
+angle = st.floats(-180.0, 180.0)
+
+
+class TestClassicalIsDegenerateCoherent:
+    """The classical channel is the plant behind a zero-state controller
+    with unit feedthrough: assembling it directly gives exactly the same
+    scaled problem as augmenting and lifting through that controller, or
+    the same assembly error."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kappa=positive, chi=squeezing, L=estimand, mu=uncertainty,
+           theta=angle, scaling=scaling)
+    def test_series(self, kappa, chi, L, mu, theta, scaling):
+        plant = squeezer_plant(kappa, kappa, chi, L, strict=True)
+        u = squeezer_uncertainty(np.sqrt(kappa), mu)
+        S = homodyne_matrix([np.deg2rad(theta)])
+        ctrl = pass_through_controller()
+        assert_same_problem(
+            assemble_or_error(plant, u, S, scaling),
+            assemble_or_error(
+                augment(plant, ctrl), lift_uncertainty(u, ctrl), S, scaling
+            ),
+        )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kappa1=positive, kappa2=positive, chi=squeezing, L=estimand,
+           mu=uncertainty, theta=angle, scaling=scaling)
+    def test_feedback(self, kappa1, kappa2, chi, L, mu, theta, scaling):
+        plant = feedback_squeezer_plant(
+            kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
+        )
+        u = squeezer_uncertainty(np.sqrt(kappa1), mu)
+        S = homodyne_matrix([np.deg2rad(theta)])
+        ctrl = pass_through_feedback_controller()
+        assert_same_problem(
+            assemble_or_error(plant, u, S, scaling),
+            assemble_or_error(
+                augment_feedback(plant, ctrl),
+                lift_uncertainty(u, ctrl, plant=plant),
+                S,
+                scaling,
+            ),
+        )
