@@ -71,4 +71,4 @@ class SingularAtFrequency(QreError):
 
 
 class UnstableSystem(QreError):
-    """H-infinity norm requested for an unstable state-space system."""
+    """A system that must be Hurwitz (a norm's system, a CARE closed loop) is not."""

@@ -1,19 +1,11 @@
-"""Dense complex matrix kernel: adjoints, Hermitian functions and the
-stabilizing continuous algebraic Riccati equation solver.
-
-The CARE is taken in the canonical form
-
-    A^dag X + X A + X R X + Q = 0,
-
-with R and Q Hermitian, and is solved through the ordered Schur
-decomposition of the associated Hamiltonian matrix ``[[A, R], [-Q, -A^dag]]``
-followed by a single Newton (Kleinman) refinement step.
+"""Dense complex matrix kernel: adjoints, Hermitian functions and the CARE
+A^dag X + X A + X R X + Q = 0 (R, Q Hermitian), solved in numpy alone from the
+Hamiltonian's stable eigenvectors and one Kronecker-system Kleinman step.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ImaginaryAxisEigenvalue,
@@ -21,6 +13,7 @@ from .errors import (
     ResidualTooLarge,
     ShapeMismatch,
     SingularU1,
+    UnstableSystem,
 )
 
 __all__ = [
@@ -137,10 +130,9 @@ class CareSolution:
 def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
     """Stabilizing solution of the canonical CARE.
 
-    The 2n x 2n Hamiltonian ``[[A, R], [-Q, -A^dag]]`` is reduced to ordered
-    complex Schur form with the stable spectrum leading; the solution is
-    X = U2 U1^{-1} from the stacked basis [U1; U2] of the stable invariant
-    subspace, Hermitian-symmetrized, then refined with one Kleinman step.
+    X = U2 U1^{-1}, Hermitian-symmetrized, from the QR-orthonormalized basis
+    [U1; U2] of the Hamiltonian's n stable eigenvectors, then refined with one
+    Kleinman step solved as an n^2 x n^2 Kronecker system.
 
     Raises
     ------
@@ -149,39 +141,46 @@ def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
     SingularU1
         The stable subspace is not complementary to the graph subspace.
     ResidualTooLarge
-        The refined solution fails the residual gate.
+        The refined solution fails the residual gate, or the step is singular.
+    UnstableSystem
+        The closed-loop matrix A + R X is not Hurwitz.
     """
     A, R, Q = inst.A, inst.R, inst.Q
     n = inst.n
-    H = np.block([[A, R], [-Q, -A.conj().T]])
-
-    # the diagonal of the triangular Schur factor holds the eigenvalues of H
-    T, Z, sdim = sla.schur(H, output="complex", sort=lambda lam: lam.real < 0)
-    gap = np.min(np.abs(np.diag(T).real))
+    H = np.vstack([np.hstack([A, R]), np.hstack([-Q, -A.conj().T])])
+    lam, V = np.linalg.eig(H)
+    gap = np.min(np.abs(lam.real))
     if gap < IMAG_AXIS_GAP:
         raise ImaginaryAxisEigenvalue(
             f"Hamiltonian eigenvalue within {gap:.3e} of the imaginary axis"
         )
+    sdim = np.count_nonzero(lam.real < 0)
     if sdim != n:
         raise ImaginaryAxisEigenvalue(
             f"stable invariant subspace has dimension {sdim}, expected {n}"
         )
-    U1 = Z[:n, :n]
-    U2 = Z[n:, :n]
+    U1, U2 = np.split(np.linalg.qr(V[:, lam.real < 0])[0], 2)
     cond = np.linalg.cond(U1)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularU1(f"U1 condition number {cond:.3e}")
     X = U2 @ np.linalg.inv(U1)
     X = (X + X.conj().T) / 2
 
-    # one Kleinman refinement step: with Acl = A + R X,
-    # Acl^dag X+ + X+ Acl = X R X - Q
-    Acl = A + R @ X
-    X = sla.solve_continuous_lyapunov(Acl.conj().T, X @ R @ X - Q)
+    # one Kleinman step: with Acl = A + R X, Acl^dag X+ + X+ Acl = X R X - Q,
+    # row-major vectorized as (Acl^dag kron I + I kron Acl^T) vec(X+)
+    Acl, eye = A + R @ X, np.eye(n)
+    K = Acl.conj().T[:, None, :, None] * eye[:, None]
+    K = (K + eye[:, None, :, None] * Acl.T[:, None]).reshape(n * n, n * n)
+    try:
+        X = np.linalg.solve(K, (X @ R @ X - Q).ravel()).reshape(n, n)
+    except np.linalg.LinAlgError as exc:
+        raise ResidualTooLarge(f"Kleinman step: {exc}") from exc
     X = (X + X.conj().T) / 2
 
     res = inst.residual(X)
-    if res > residual_tol:
+    if not res <= residual_tol:
         raise ResidualTooLarge(f"relative residual {res:.3e} > {residual_tol:.1e}")
     abscissa = float(np.max(np.linalg.eigvals(A + R @ X).real))
+    if not abscissa < 0:
+        raise UnstableSystem(f"closed-loop abscissa {abscissa:.3e} is not negative")
     return CareSolution(X=X, residual=res, closed_loop_abscissa=abscissa)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qre
 from qre import analysis, cli
 from qre.analysis import SweepResult
 from qre.cli import main
@@ -199,6 +204,42 @@ class TestReproduceCommand:
         err = capsys.readouterr().err
         assert "FAIL: coherent peak gain not below classical at every delta" in err
         assert "FAIL: coherent norm spread not below classical spread" in err
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this qre."""
+    env = dict(os.environ)
+    src = str(Path(qre.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestRuntimeDependencies:
+    """scipy is a test dependency: the package runs on numpy alone."""
+
+    def test_import_leaves_scipy_out(self):
+        proc = run_python(
+            "import sys, qre\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_reproduce_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes every import of scipy fail
+        proc = run_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from qre import cli\n"
+            "sys.exit(cli.main(['reproduce', '--preset', 'fig4',"
+            " '--out', sys.argv[1]]))",
+            str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sweep.csv").exists()
 
 
 class TestTolerance:
