@@ -1,6 +1,10 @@
 """Closed-loop analysis: error-system construction, frequency responses,
 H-infinity norms and uncertainty sweeps.
 
+A filter's closed loop is a polynomial in delta (``LoopPolynomial``), built
+once per channel by ``loop_polynomial``; ``closed_loop_error_system`` is its
+one-delta case.
+
 The peak gain is computed by the level-set iteration on the bounded-real
 Hamiltonian: its imaginary-axis eigenvalues at a candidate level are the
 frequencies where the gain crosses that level.  The same characterization
@@ -10,11 +14,8 @@ request that instead of an error.  Frequency responses are evaluated in
 stacked blocks, one batched linear solve per block.
 
 The kernel works on a stack of K systems of one shape: hinf_norm and
-frequency_response are its K = 1 case, and delta_sweep evaluates all its
-delta values in one stacked level-set run, the loops iterating in lockstep.
-The largest singular value of a one-row or one-column response is the
-Euclidean norm of its entries (such a matrix has one nonzero singular
-value); other responses take a batched SVD.
+frequency_response are its K = 1 case, and delta_sweep runs the stack of
+its K loops, formed in one ``einsum`` over the powers of delta, in lockstep.
 """
 
 from dataclasses import dataclass
@@ -29,10 +30,13 @@ from .errors import (
     UnstableSystem,
 )
 from .linalg import as_cmatrix
+from .uncertainty import delta_powers
 
 __all__ = [
     "StateSpace",
     "SweepResult",
+    "LoopPolynomial",
+    "loop_polynomial",
     "closed_loop_error_system",
     "frequency_response",
     "hinf_norm",
@@ -51,20 +55,15 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        A = as_cmatrix(self.A)
-        B = as_cmatrix(self.B)
-        C = as_cmatrix(self.C)
-        D = as_cmatrix(self.D)
+        A, B, C, D = map(as_cmatrix, (self.A, self.B, self.C, self.D))
         if A.shape[0] != A.shape[1]:
             raise ShapeMismatch("A must be square")
         if B.shape[0] != A.shape[0] or C.shape[1] != A.shape[0]:
             raise ShapeMismatch("B and C must conform with A")
         if D.shape != (C.shape[0], B.shape[1]):
             raise ShapeMismatch("D must conform with B and C")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        for name, m in zip("ABCD", (A, B, C, D)):
+            object.__setattr__(self, name, m)
 
     @property
     def spectral_abscissa(self):
@@ -79,52 +78,81 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Peak gains across an uncertainty grid, labelled per estimator."""
+    """Peak gains across an uncertainty grid, labelled per estimator, with
+    the spectral abscissa of each loop (a peak gain is an H-infinity norm
+    only where that abscissa is negative)."""
 
     deltas: tuple
     norms: tuple
     label: str
+    abscissa: tuple
 
     def __post_init__(self):
-        if len(self.deltas) != len(self.norms):
-            raise ShapeMismatch("deltas and norms must have equal length")
+        if not len(self.deltas) == len(self.norms) == len(self.abscissa):
+            raise ShapeMismatch("deltas, norms and abscissa must have equal length")
         if not all(np.isfinite(self.norms)):
             raise QreError("sweep produced a non-finite norm")
 
 
-def closed_loop_error_system(A, B, C, D, L, S, est, deltas=None, channel=None):
-    """Disturbance-to-estimation-error system for a filter driven by the
-    homodyne measurement of a (possibly perturbed) plant.
+@dataclass(frozen=True)
+class LoopPolynomial:
+    """A(delta) = sum_p delta**powers[p] A[p] and B(delta) likewise, from
+    (P, n, n) and (P, n, m) stacks, with C fixed and no feedthrough.  Called
+    on K deltas it returns the (A, B, C, D) stacks of the K loops."""
+
+    powers: tuple
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+
+    def __call__(self, deltas):
+        x = delta_powers(self.powers, deltas)
+        A, B = (np.einsum("kp,pij->kij", x, c) for c in (self.A, self.B))
+        C = np.broadcast_to(self.C, (len(x),) + self.C.shape)
+        return A, B, C, np.zeros((len(x), C.shape[1], B.shape[2]), dtype=complex)
+
+    def at(self, delta):
+        return StateSpace(*(m[0] for m in self([delta])))
+
+
+def loop_polynomial(A, B, C, D, L, S, est, perturbation, channel=None):
+    """Disturbance-to-estimation-error loop of a filter driven by the
+    homodyne measurement of a perturbed plant, as a LoopPolynomial.
 
     A_cl = [[A+dA, 0], [B_K S (C+dC), A_K]], B_cl = [[B+dB], [B_K S D]]
     restricted to the selected input columns, C_cl = [-L, C_K], D_cl = 0.
-    ``channel`` lists input-column indices; the default keeps the first
-    half of the leading doubled input block (the disturbance-field
-    quadratures, not their conjugates).
+    ``perturbation`` is ``(powers, dA, dB, dC)`` as from
+    ``UncertaintyModel.coefficients``; the nominal plant joins the power-0
+    term, and dB fills the leading input columns.  ``channel`` lists
+    input-column indices; the default keeps the first half of the leading
+    doubled input block (the disturbance-field quadratures, not their
+    conjugates).
     """
     A, B, C, D, L, S = map(as_cmatrix, (A, B, C, D, L, S))
-    dA = np.zeros_like(A) if deltas is None else deltas.dA
-    dB = np.zeros_like(B) if deltas is None else deltas.dB
-    dC = np.zeros_like(C) if deltas is None else deltas.dC
-    if dB.shape[1] != B.shape[1]:
-        # perturbation touches only the leading input block; pad with zeros
-        pad = np.zeros((dB.shape[0], B.shape[1] - dB.shape[1]))
-        dB = np.hstack([dB, pad])
-    n, k = A.shape[0], est.A_K.shape[0]
-    Acl = np.block(
-        [[A + dA, np.zeros((n, k))], [est.B_K @ S @ (C + dC), est.A_K]]
-    )
-    Bcl = np.vstack([B + dB, est.B_K @ S @ D])
-    if channel is None:
-        channel = list(range(S.shape[0]))
-    channel = list(channel)
-    if any(c < 0 or c >= Bcl.shape[1] for c in channel):
+    powers, dA, dB, dC = perturbation
+    P, n, k = len(powers), A.shape[0], est.A_K.shape[0]
+    one = (np.array(powers) == 0)[:, None, None]  # selects the power-0 term
+    Bp = np.zeros((P, n, B.shape[1]), dtype=complex)
+    Bp[..., : dB.shape[2]] = dB
+    Acl = np.block([[dA + one * A, np.zeros((P, n, k))],
+                    [est.B_K @ S @ (dC + one * C), one * est.A_K]])
+    Bcl = np.concatenate([Bp + one * B, one * (est.B_K @ S @ D)], axis=1)
+    channel = list(range(S.shape[0]) if channel is None else channel)
+    if any(c < 0 or c >= B.shape[1] for c in channel):
         raise ChannelOutOfRange(
-            f"channel {channel} outside input width {Bcl.shape[1]}"
+            f"channel {channel} outside input width {B.shape[1]}"
         )
-    Bcl = Bcl[:, channel]
     Ccl = np.hstack([-L, est.C_K])
-    return StateSpace(Acl, Bcl, Ccl, np.zeros((Ccl.shape[0], Bcl.shape[1])))
+    return LoopPolynomial(tuple(powers), Acl, Bcl[..., channel], Ccl)
+
+
+def closed_loop_error_system(A, B, C, D, L, S, est, deltas=None, channel=None):
+    """The loop_polynomial error system at one perturbation ``deltas``, a
+    DeltaTriple (by default none), as a StateSpace."""
+    if deltas is None:
+        deltas = (np.zeros(np.shape(A)), np.zeros((len(A), 0)), np.zeros(np.shape(C)))
+    dA, dB, dC = (np.asarray(m)[None] for m in deltas)
+    return loop_polynomial(A, B, C, D, L, S, est, ((0,), dA, dB, dC), channel).at(0.0)
 
 
 # Resolvents per stacked solve: a stack of K systems takes BLOCK // K
@@ -187,11 +215,6 @@ def _sigma_max(g):
     return np.linalg.svd(g, compute_uv=False)[..., 0]
 
 
-def _peak_gains(A, B, C, D, eigA, W):
-    """Largest singular value of G_k(i w) for each w in W[k], as (K, N)."""
-    return _sigma_max(_responses(A, B, C, D, eigA, W))
-
-
 def frequency_response(ss, omegas):
     """G(i w) = C (i w I - A)^(-1) B + D at each listed frequency, as an
     (N, p, m) complex array; the resolvent is solved in stacked blocks of
@@ -220,18 +243,18 @@ def _level_eigenvalues(A, B, C, D, gamma):
     return np.linalg.eigvals(H)
 
 
-def _level_set(systems, rel_tol, allow_unstable):
-    """Peak gains over the imaginary axis of K systems of one shape, and
-    their peak frequencies, as two (K,) arrays.
+def _level_set(A, B, C, D, rel_tol, allow_unstable):
+    """Peak gains over the imaginary axis of the K systems of the stacks A
+    (K, n, n), B (K, n, m), C (K, p, n) and D (K, p, m), their peak
+    frequencies and their spectral abscissas, as three (K,) arrays.
 
     Each system runs the level-set iteration of hinf_norm; the iterations
     go in lockstep, one stacked Hamiltonian eigen-solve and one stacked
     frequency response per step, and a system leaves the active set once
     it has converged.  One eigen-solve of each A serves the stability check
     and every pole check.  A QreError raised for one system carries its
-    index in the list as ``system``.
+    index in the stack as ``system``.
     """
-    A, B, C, D = (np.stack([getattr(s, x) for s in systems]) for x in "ABCD")
     eigA = np.linalg.eigvals(A)
     abscissa = eigA.real.max(axis=1, initial=-np.inf)
     if not allow_unstable and (abscissa >= 0).any():
@@ -243,13 +266,13 @@ def _level_set(systems, rel_tol, allow_unstable):
     norms = _sigma_max(D)
     peaks = np.full(K, np.inf)
     if A.shape[1] == 0 or not B.shape[2] or not C.shape[1]:
-        return norms, peaks
+        return norms, peaks, abscissa
     # starting bound from a coarse frequency grid (both signs: a single
     # selected channel of a doubled-up system need not be conjugate-symmetric)
     grid = np.logspace(-3, 3, 50)
     grid = np.concatenate([-grid[::-1], grid])
     W = np.broadcast_to(grid, (K, grid.size))
-    gains = _peak_gains(A, B, C, D, eigA, W)
+    gains = _sigma_max(_responses(A, B, C, D, eigA, W))
     best = np.argmax(gains, axis=1)
     lo = gains[np.arange(K), best]
     above = lo > norms
@@ -269,7 +292,7 @@ def _level_set(systems, rel_tol, allow_unstable):
         # where rounding has moved its crossings slightly off the axis.
         freqs = np.sort(eigs.imag, axis=1)
         mids = 0.5 * (freqs[:, :-1] + freqs[:, 1:])
-        gains = _peak_gains(a, b, c, d, e, mids)
+        gains = _sigma_max(_responses(a, b, c, d, e, mids))
         best = np.argmax(gains, axis=1)
         top = gains[np.arange(active.size), best]
         done = top <= gamma
@@ -293,7 +316,7 @@ def _level_set(systems, rel_tol, allow_unstable):
             f"level-set iteration did not converge in {MAX_LEVELS} steps "
             f"(level {lo[k] * (1 + rel_tol):.6g})"
         ))
-    return norms, peaks
+    return norms, peaks, abscissa
 
 
 def hinf_norm(ss, rel_tol=1e-6, allow_unstable=False, return_frequency=False):
@@ -316,7 +339,8 @@ def hinf_norm(ss, rel_tol=1e-6, allow_unstable=False, return_frequency=False):
     (norm, peak_frequency) pair, the frequency being that of the best point
     found (infinite where the gain of D was never exceeded).
     """
-    norms, peaks = _level_set([ss], rel_tol, allow_unstable)
+    stack = (m[None] for m in (ss.A, ss.B, ss.C, ss.D))
+    norms, peaks, _ = _level_set(*stack, rel_tol, allow_unstable)
     norm, peak = float(norms[0]), float(peaks[0])
     return (norm, peak) if return_frequency else norm
 
@@ -336,34 +360,18 @@ def grid_peak_gain(ss, n_points=2000, omega_min=1e-3, omega_max=1e3):
 
 
 def delta_sweep(builder, deltas, label="", rel_tol=1e-6, allow_unstable=True):
-    """Evaluate the peak gain of builder(delta) across an uncertainty grid.
-
-    The estimator inside the builder stays fixed (synthesized once at its
-    design point); only the plant perturbation varies.  The loops of all
-    deltas are stacked and their peak gains taken in one run of the
-    level-set kernel.  Per-point failures are re-raised with the offending
-    delta attached.
+    """Peak gains and spectral abscissas of the loops builder(deltas), in
+    one run of the level-set kernel.  ``builder`` maps the array of K deltas
+    to the (A, B, C, D) stacks of their K loops, as a LoopPolynomial does.
+    Its failures propagate as raised; the kernel's keep their class and
+    name the delta of the loop at fault.
     """
-    failed = "sweep failed at delta={}: {}".format
-    loops = []
-    for d in deltas:
-        try:
-            loops.append(builder(d))
-        except QreError as exc:
-            raise QreError(failed(d, exc)) from exc
-    if not loops:
-        return SweepResult((), (), label)
-    shapes = [(loop.A.shape, loop.D.shape) for loop in loops]
-    for d, shape in zip(deltas, shapes):
-        if shape != shapes[0]:
-            raise ShapeMismatch(failed(
-                d, f"loop shapes (A, D) {shape} differ from {shapes[0]} "
-                f"at delta={deltas[0]}"
-            ))
+    deltas = tuple(float(d) for d in deltas)
+    if not deltas:
+        return SweepResult((), (), label, ())
+    stacks = builder(np.array(deltas))
     try:
-        norms, _ = _level_set(loops, rel_tol, allow_unstable)
+        norms, _, abscissa = _level_set(*stacks, rel_tol, allow_unstable)
     except QreError as exc:
-        raise QreError(failed(deltas[exc.system], exc)) from exc
-    return SweepResult(
-        tuple(float(d) for d in deltas), tuple(norms.tolist()), label
-    )
+        raise type(exc)(f"sweep failed at delta={deltas[exc.system]}: {exc}") from exc
+    return SweepResult(deltas, tuple(norms.tolist()), label, tuple(abscissa.tolist()))

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -91,21 +92,12 @@ def _delta_grid(config):
 
 
 def _estimator_record(est, name):
-    return {
-        "name": name,
-        "A_K": matrix_to_json(est.A_K),
-        "B_K": matrix_to_json(est.B_K),
-        "C_K": matrix_to_json(est.C_K),
-        "gamma": est.gamma,
-        "eps1": est.eps1,
-        "eps2": est.eps2,
-        "residual_x": est.residual_x,
-        "residual_y": est.residual_y,
-        "spectral_abscissa": est.spectral_abscissa,
-        "stable": est.stable,
-        "coupling_condition": est.coupling_condition,
-        "gain_convention": est.gain_convention,
-    }
+    """Every field of the estimator but the Riccati solutions and params."""
+    record = {f.name: getattr(est, f.name) for f in fields(est)}
+    for m in ("X", "Y", "params"):
+        del record[m]
+    record.update((m, matrix_to_json(record[m])) for m in ("A_K", "B_K", "C_K"))
+    return {"name": name, **record}
 
 
 def cmd_synthesize(config, outdir):
@@ -156,15 +148,14 @@ def _write_bode(study, config, outdir, command):
     return EXIT_OK
 
 
-def _run_sweep(study, config, rel_tol=1e-6):
+def _sweep(study, config, outdir, command, rel_tol=1e-6):
+    """Sweep both filters, write sweep.csv and meta.json, return the norms.
+    The meta counts each channel's unstable loops and gives its largest
+    spectral abscissa: where that is not negative, the peak gain is an
+    L-infinity number, not an H-infinity norm."""
     deltas = _delta_grid(config)
     classical, coherent = study.sweep(deltas, rel_tol=rel_tol)
-    return deltas, classical, coherent
-
-
-def _write_sweep_csv(outdir, deltas, classical, coherent):
-    cls = np.asarray(classical.norms)
-    coh = np.asarray(coherent.norms)
+    cls, coh = (np.asarray(r.norms) for r in (classical, coherent))
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta", "hinf_classical", "hinf_coherent"])
@@ -175,6 +166,16 @@ def _write_sweep_csv(outdir, deltas, classical, coherent):
         writer.writerow(
             ["spread", f"{cls.max() - cls.min():.12g}", f"{coh.max() - coh.min():.12g}"]
         )
+    stability = {
+        r.label: {
+            "unstable_deltas": sum(a >= 0 for a in r.abscissa),
+            "max_abscissa": max(r.abscissa),
+        }
+        for r in (classical, coherent)
+    }
+    _write_meta(
+        outdir, command, config, {"n_deltas": len(deltas), "stability": stability}
+    )
     return cls, coh
 
 
@@ -182,9 +183,7 @@ def cmd_sweep(config, outdir, rel_tol):
     study = build_study(config)
     if not study.has_controller:
         raise ValueError("sweep needs a coherent_classical* topology (two columns)")
-    deltas, classical, coherent = _run_sweep(study, config, rel_tol)
-    _write_sweep_csv(outdir, deltas, classical, coherent)
-    _write_meta(outdir, "sweep", config, {"n_deltas": len(deltas)})
+    _sweep(study, config, outdir, "sweep", rel_tol)
     print(f"wrote {outdir / 'sweep.csv'}")
     return EXIT_OK
 
@@ -207,9 +206,7 @@ def cmd_reproduce(preset, outdir):
                 f"at delta={delta}"
             )
     else:
-        deltas, classical, coherent = _run_sweep(study, config)
-        cls, coh = _write_sweep_csv(outdir, deltas, classical, coherent)
-        _write_meta(outdir, f"reproduce:{preset}", config, {"n_deltas": len(deltas)})
+        cls, coh = _sweep(study, config, outdir, f"reproduce:{preset}")
         if not np.all(coh < cls):
             failures.append("coherent peak gain not below classical at every delta")
         if which == "feedback":

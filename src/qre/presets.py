@@ -6,17 +6,19 @@ filters as named *channels*.  A channel is a measured system (fields A, B,
 C, D, L) paired with its ``UncertaintyModel``: ``"classical"`` measures the
 plant itself, ``"coherent"`` the plant/controller augmented system with the
 uncertainty lifted onto it.  Every channel goes through the same
-``assemble``, ``Study.estimator`` and ``Study.closed_loop``.  Two benchmark
-parameter sets are provided, one for the series topology and one for the
-coherent-feedback topology.
+``assemble``, ``Study.estimator`` and ``Study.loop_polynomial``: the
+filter's closed loop as a polynomial in delta, built once per channel.
+``Study.closed_loop`` is its value at one delta and ``Study.sweep`` its
+stack over a grid.  Two benchmark parameter sets are provided, one for the
+series topology and one for the coherent-feedback topology.
 """
 
 from dataclasses import dataclass, field
-from functools import partial, partialmethod
+from functools import partialmethod
 
 import numpy as np
 
-from .analysis import closed_loop_error_system, delta_sweep
+from .analysis import closed_loop_error_system, delta_sweep, loop_polynomial
 from .augmentation import augment, augment_feedback, lift_uncertainty
 from .quantum import (
     feedback_squeezer_controller,
@@ -29,7 +31,7 @@ from .synthesis import assemble, synthesize
 from .uncertainty import evaluate_deltas, squeezer_uncertainty
 
 # bindings of this module that the benchmark's span tracer
-# (benchmarks/spans.py) wraps by name
+# (benchmarks/spans.py) wraps by name, imported ones included
 assemble_classical = assemble_feedback_classical = assemble_augmented = assemble
 lifted_deltas = evaluate_deltas
 
@@ -129,27 +131,26 @@ class Study:
             self._estimators[name] = synthesize(self.problems[name])
         return self._estimators[name]
 
-    def closed_loop(self, name, delta, estimator=None):
-        """Disturbance-to-error system of the channel's filter at one delta."""
+    def loop_polynomial(self, name, estimator=None):
+        """Disturbance-to-error loop of the channel's filter, polynomial in delta."""
         est = estimator if estimator is not None else self.estimator(name)
         system, u = self.channels[name]
-        d = evaluate_deltas(u, delta)
-        return closed_loop_error_system(
-            system.A, system.B, system.C, system.D, system.L, self.S, est,
-            deltas=d,
-        )
+        A, B, C, D, L = (getattr(system, m) for m in "ABCDL")
+        return loop_polynomial(A, B, C, D, L, self.S, est, u.coefficients())
+
+    def closed_loop(self, name, delta, estimator=None):
+        """Disturbance-to-error system of the channel's filter at one delta."""
+        return self.loop_polynomial(name, estimator).at(delta)
 
     # read by the benchmark's oracle workload (benchmarks/workloads.py)
     classical_closed_loop = partialmethod(closed_loop, "classical")
     coherent_closed_loop = partialmethod(closed_loop, "coherent")
 
     def sweep(self, deltas, rel_tol=1e-6):
-        """Peak gains of every channel's filter over a delta grid."""
+        """Peak gains of every channel's filter over a delta grid; each
+        filter is synthesized before its loops are built."""
         return tuple(
-            delta_sweep(
-                partial(self.closed_loop, name), deltas, label=name,
-                rel_tol=rel_tol,
-            )
+            delta_sweep(self.loop_polynomial(name), deltas, label=name, rel_tol=rel_tol)
             for name in self.channels
         )
 

@@ -14,7 +14,7 @@ underlying central-estimator formula and yields a stable filter meeting the
 nominal attenuation bound.  Both solve identical Riccati equations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,18 +66,9 @@ class ScaledProblem:
     eps2: float
 
     def __post_init__(self):
-        for name in (
-            "Abar",
-            "C2bar",
-            "Sbar",
-            "B1bar",
-            "C1bar",
-            "D12bar",
-            "D21bar",
-            "E1bar",
-            "E2bar",
-        ):
-            object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
+        for f in fields(self):
+            if f.type is np.ndarray:
+                object.__setattr__(self, f.name, as_cmatrix(getattr(self, f.name)))
 
     @property
     def n(self):

@@ -2,21 +2,25 @@
 
 The uncertain blocks are factored as dA = H1 F1(delta) E, dB = H2 F2(delta) G,
 dC = H3 F1(delta) E with contractions F1, F2 (largest singular value at most
-one over the uncertainty window delta in [-1, 1]).
+one over the uncertainty window delta in [-1, 1]).  F1 and F2 are diagonals
+of powers of delta, so each block is a polynomial in delta with coefficient
+stacks ``UncertaintyModel.coefficients()``, evaluated by ``delta_powers``.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch
-from .linalg import as_cmatrix, max_singular_value
+from .linalg import as_cmatrix
 
 __all__ = [
     "UncertaintyModel",
     "DeltaTriple",
     "ContractionReport",
     "squeezer_uncertainty",
+    "delta_powers",
     "evaluate_deltas",
     "contraction_check",
 ]
@@ -25,26 +29,21 @@ __all__ = [
 CONTRACTION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DeltaTriple:
+class DeltaTriple(NamedTuple):
     """Perturbations of the state, input and output maps at one delta."""
 
     dA: np.ndarray
     dB: np.ndarray
     dC: np.ndarray
 
-    def __post_init__(self):
-        for name in ("dA", "dB", "dC"):
-            object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
-
 
 @dataclass(frozen=True)
 class UncertaintyModel:
     """Factor matrices plus the delta-parameterized contraction maps.
 
-    f1 and f2 map a scalar delta in [-1, 1] to the contraction blocks;
-    they are stored as diagonal exponent patterns (entry k of the diagonal
-    is delta**exponent[k]) so the contraction bound can be checked exactly.
+    The contraction blocks F1(delta) and F2(delta) are stored as diagonal
+    exponent patterns (entry k of F1 is f1_scale * delta**f1_exponents[k]),
+    so the contraction bound can be checked exactly.
     """
 
     H1: np.ndarray
@@ -63,28 +62,25 @@ class UncertaintyModel:
             object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
         object.__setattr__(self, "f1_exponents", tuple(self.f1_exponents))
         object.__setattr__(self, "f2_exponents", tuple(self.f2_exponents))
-        if self.H1.shape[1] != len(self.f1_exponents) or self.E.shape[0] != len(
-            self.f1_exponents
-        ):
-            raise ShapeMismatch("H1, E must conform with the F1 block")
-        if self.H3.shape[1] != len(self.f1_exponents):
-            raise ShapeMismatch("H3 must conform with the F1 block")
-        if self.H2.shape[1] != len(self.f2_exponents) or self.G.shape[0] != len(
-            self.f2_exponents
-        ):
+        k1, k2 = len(self.f1_exponents), len(self.f2_exponents)
+        if not self.H1.shape[1] == self.H3.shape[1] == self.E.shape[0] == k1:
+            raise ShapeMismatch("H1, H3 and E must conform with the F1 block")
+        if not self.H2.shape[1] == self.G.shape[0] == k2:
             raise ShapeMismatch("H2, G must conform with the F2 block")
 
-    def f1(self, delta):
-        """Contraction block F1(delta) = diag(delta**e for e in pattern)."""
-        return self.f1_scale * np.diag(
-            [complex(delta) ** e for e in self.f1_exponents]
-        )
+    def coefficients(self):
+        """``(powers, dA, dB, dC)``: the powers of delta, ascending from 0,
+        and dA, dB, dC as (P, ., .) stacks whose entry p multiplies
+        delta**powers[p]."""
+        powers = tuple(sorted({0, *self.f1_exponents, *self.f2_exponents}))
 
-    def f2(self, delta):
-        """Contraction block F2(delta)."""
-        return self.f2_scale * np.diag(
-            [complex(delta) ** e for e in self.f2_exponents]
-        )
+        def terms(H, exponents, scale, M):
+            e = np.array(exponents)
+            return np.stack([scale * H[:, e == p] @ M[e == p] for p in powers])
+
+        f1 = (self.f1_exponents, self.f1_scale)
+        dA, dC = (terms(H, *f1, self.E) for H in (self.H1, self.H3))
+        return powers, dA, terms(self.H2, self.f2_exponents, self.f2_scale, self.G), dC
 
 
 def squeezer_uncertainty(alpha, mu):
@@ -131,18 +127,23 @@ def squeezer_uncertainty(alpha, mu):
     )
 
 
+def delta_powers(powers, deltas):
+    """delta**p for each delta of a grid and each listed power p, as a
+    (K, P) array.  A delta outside the window [-1, 1] raises DomainError
+    naming the first one."""
+    deltas = np.asarray(deltas, dtype=float).reshape(-1)
+    outside = deltas[~(np.abs(deltas) <= 1)]
+    if outside.size:
+        raise DomainError(f"delta={outside[0]} outside [-1, 1]")
+    return deltas[:, None] ** np.array(powers)
+
+
 def evaluate_deltas(u, delta):
-    """Perturbation triple at one point of the uncertainty window:
-    dA = H1 F1 E, dB = H2 F2 G, dC = H3 F1 E."""
-    if abs(delta) > 1:
-        raise DomainError(f"delta={delta} outside [-1, 1]")
-    f1 = u.f1(delta)
-    f2 = u.f2(delta)
-    return DeltaTriple(
-        dA=u.H1 @ f1 @ u.E,
-        dB=u.H2 @ f2 @ u.G,
-        dC=u.H3 @ f1 @ u.E,
-    )
+    """Perturbation triple dA = H1 F1 E, dB = H2 F2 G, dC = H3 F1 E at one
+    delta: the one-delta case of ``u.coefficients()``."""
+    powers, *stacks = u.coefficients()
+    x = delta_powers(powers, [delta])[0]
+    return DeltaTriple(*(np.einsum("p,pij->ij", x, c) for c in stacks))
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,12 @@ class ContractionReport:
 
 
 def contraction_check(u, grid):
-    """Verify the unit contraction bound on F1, F2 over a delta grid."""
+    """Verify the unit contraction bound on F1, F2 over a delta grid.  A
+    diagonal block's largest singular value is its largest entry modulus."""
     grid = tuple(float(d) for d in grid)
-    if any(abs(d) > 1 for d in grid):
-        raise DomainError("grid must lie inside [-1, 1]")
-    f1_norms = tuple(max_singular_value(u.f1(d)) for d in grid)
-    f2_norms = tuple(max_singular_value(u.f2(d)) for d in grid)
+    f1_norms, f2_norms = (
+        tuple((abs(scale) * np.abs(delta_powers(e, grid)).max(1, initial=0)).tolist())
+        for e, scale in ((u.f1_exponents, u.f1_scale), (u.f2_exponents, u.f2_scale))
+    )
     passed = all(v <= 1 + CONTRACTION_TOL for v in f1_norms + f2_norms)
     return ContractionReport(grid, f1_norms, f2_norms, passed)

@@ -1,13 +1,16 @@
-from functools import partial
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_synthesis import angle, estimand, positive, squeezing, uncertainty
 
 from qre import analysis
 from qre.analysis import (
     BLOCK,
+    LoopPolynomial,
     StateSpace,
     SweepResult,
     closed_loop_error_system,
@@ -15,6 +18,7 @@ from qre.analysis import (
     frequency_response,
     grid_peak_gain,
     hinf_norm,
+    loop_polynomial,
 )
 from qre.errors import (
     ChannelOutOfRange,
@@ -25,11 +29,18 @@ from qre.errors import (
     UnstableSystem,
 )
 from qre.linalg import max_singular_value
-from qre.uncertainty import evaluate_deltas, squeezer_uncertainty
+from qre.presets import build_study, feedback_benchmark_config, series_benchmark_config
+from qre.uncertainty import squeezer_uncertainty
 
 
 def lag():
     return StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+
+def stack(systems):
+    """The (A, B, C, D) stacks of a list of systems of one shape, as a
+    delta_sweep builder returns them."""
+    return tuple(np.stack([getattr(s, x) for s in systems]) for x in "ABCD")
 
 
 def loop_response(ss, omegas):
@@ -291,24 +302,21 @@ class TestDeltaSweep:
         u0 = squeezer_uncertainty(2.0, 0.0)
         p = series_study.plant
         est = series_study.estimator("classical")
-
-        def builder(d):
-            return closed_loop_error_system(
-                p.A, p.B, p.C, p.D, p.L, series_study.S, est,
-                deltas=evaluate_deltas(u0, d),
-            )
-
+        builder = loop_polynomial(
+            p.A, p.B, p.C, p.D, p.L, series_study.S, est, u0.coefficients()
+        )
         res = delta_sweep(builder, [-1.0, 0.0, 1.0], label="nominal")
         assert res.norms[0] == pytest.approx(res.norms[1], rel=1e-6)
         assert res.norms[1] == pytest.approx(res.norms[2], rel=1e-6)
 
     def test_bookkeeping(self, series_study):
         res = delta_sweep(
-            partial(series_study.closed_loop, "classical"), [-1.0, 0.0, 1.0],
+            series_study.loop_polynomial("classical"), [-1.0, 0.0, 1.0],
             label="classical",
         )
         assert res.deltas == (-1.0, 0.0, 1.0)
         assert len(res.norms) == 3
+        assert len(res.abscissa) == 3
         assert res.label == "classical"
 
 
@@ -340,11 +348,13 @@ class TestStackedKernel:
     ):
         for study in (series_study, feedback_study):
             for name in study.channels:
-                builder = partial(study.closed_loop, name)
-                res = delta_sweep(builder, delta_grid_21)
-                ref = [hinf_norm(builder(d), allow_unstable=True)
-                       for d in delta_grid_21]
+                res = delta_sweep(study.loop_polynomial(name), delta_grid_21)
+                loops = [study.closed_loop(name, d) for d in delta_grid_21]
+                ref = [hinf_norm(loop, allow_unstable=True) for loop in loops]
                 np.testing.assert_allclose(res.norms, ref, rtol=1e-12)
+                assert res.abscissa == tuple(
+                    loop.spectral_abscissa for loop in loops
+                )
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -361,7 +371,8 @@ class TestStackedKernel:
             random_system(seed + k, s, feedthrough, shape=(n,) + channel)
             for k, s in enumerate(stable)
         ]
-        res = delta_sweep(lambda d: systems[int(d)], range(len(systems)))
+        res = delta_sweep(lambda ds: stack([systems[int(d)] for d in ds]),
+                          range(len(systems)))
         ref = [hinf_norm(ss, allow_unstable=True) for ss in systems]
         np.testing.assert_allclose(res.norms, ref, rtol=1e-12)
 
@@ -385,33 +396,41 @@ def first_order(pole, c=1.0):
 
 
 class TestSweepFailures:
-    """A failed sweep names the delta of the loop at fault."""
+    """A failed sweep keeps the class of its error and names the delta of
+    the loop at fault."""
 
     def test_builder_failure(self):
-        def builder(d):
-            if d == 0.5:
-                raise DomainError("no loop here")
-            return lag()
+        # the builder's own error propagates as raised; a loop polynomial
+        # names the first delta outside the uncertainty window
+        def builder(ds):
+            raise DomainError("no loop here")
 
-        with pytest.raises(QreError, match=r"delta=0\.5: no loop here"):
+        with pytest.raises(DomainError, match=r"^no loop here$"):
             delta_sweep(builder, [0.0, 0.5, 1.0])
+        loops = LoopPolynomial(
+            (0, 1), np.array([[[-1.0]], [[0.5]]]), np.ones((2, 1, 1)), np.ones((1, 1))
+        )
+        with pytest.raises(DomainError, match=r"delta=1\.5 outside \[-1, 1\]"):
+            delta_sweep(loops, [0.0, 1.5, -2.0])
 
     def test_unstable_loop(self):
-        def builder(d):
-            return first_order(d - 0.7)
+        def builder(ds):
+            return stack([first_order(d - 0.7) for d in ds])
 
         with pytest.raises(
-            QreError, match=r"delta=1\.0: spectral abscissa 0\.3 is not negative"
+            UnstableSystem,
+            match=r"delta=1\.0: spectral abscissa 0\.3 is not negative",
         ):
             delta_sweep(builder, [-1.0, 0.0, 1.0], allow_unstable=False)
         # allowed by default: the peak gain on the axis, 1 / 0.3 at w = 0
         res = delta_sweep(builder, [-1.0, 0.0, 1.0])
         assert res.norms[2] == pytest.approx(1 / 0.3, rel=1e-6)
+        np.testing.assert_allclose(res.abscissa, [-1.7, -0.7, 0.3], rtol=1e-12)
 
     def test_pole_on_the_imaginary_axis(self):
         w0 = np.logspace(-3, 3, 50)[20]  # a frequency of the starting grid
 
-        def builder(d):
+        def loop(d):
             pole = 1j * w0 if d == 0.5 else -2.0
             return StateSpace(np.diag([-1.0, pole]), np.ones((2, 1)),
                               np.ones((1, 2)), [[0.0]])
@@ -419,7 +438,9 @@ class TestSweepFailures:
         with pytest.raises(
             QreError, match=r"delta=0\.5: i\*omega = .* is a system pole"
         ) as info:
-            delta_sweep(builder, [0.0, 0.25, 0.5])
+            delta_sweep(lambda ds: stack([loop(d) for d in ds]),
+                        [0.0, 0.25, 0.5])
+        assert isinstance(info.value, SingularAtFrequency)
         assert isinstance(info.value.__cause__, SingularAtFrequency)
 
     def test_step_cap(self, monkeypatch):
@@ -429,7 +450,8 @@ class TestSweepFailures:
             QreError,
             match=r"delta=0\.5: level-set iteration did not converge in 0 steps",
         ):
-            delta_sweep(lambda d: first_order(-1.0, c=d), [0.0, 0.5, 1.0])
+            delta_sweep(lambda ds: stack([first_order(-1.0, c=d) for d in ds]),
+                        [0.0, 0.5, 1.0])
 
     def test_crossings_without_a_higher_gain(self, monkeypatch):
         monkeypatch.setattr(
@@ -438,15 +460,106 @@ class TestSweepFailures:
             lambda A, B, C, D, gamma: np.tile([5j, 6j], (A.shape[0], 1)),
         )
         with pytest.raises(QreError, match=r"delta=0\.5: level .* is crossed"):
-            delta_sweep(lambda d: first_order(-1.0, c=d), [0.0, 0.5, 1.0])
+            delta_sweep(lambda ds: stack([first_order(-1.0, c=d) for d in ds]),
+                        [0.0, 0.5, 1.0])
 
     def test_empty_deltas(self):
-        res = delta_sweep(lambda d: lag(), [], label="empty")
-        assert res == SweepResult((), (), "empty")
+        res = delta_sweep(lambda ds: stack([lag()]), [], label="empty")
+        assert res == SweepResult((), (), "empty", ())
 
-    def test_unequal_loop_shapes(self):
-        def builder(d):
-            return lag() if d < 0.5 else random_system(1, shape=(2, 1, 1))
+    def test_stack_shorter_than_the_grid(self):
+        # one stack holds loops of one shape; what a builder can still get
+        # wrong is the number of loops
+        with pytest.raises(ShapeMismatch, match="equal length"):
+            delta_sweep(lambda ds: stack([lag()]), [0.0, 0.5])
 
-        with pytest.raises(ShapeMismatch, match=r"delta=0\.5"):
-            delta_sweep(builder, [0.0, 0.5])
+
+def reference_loop(system, u, S, est, delta):
+    """The closed loop at one delta from the per-delta factors
+    dA = H1 F1 E, dB = H2 F2 G, dC = H3 F1 E."""
+    F1 = u.f1_scale * np.diag([delta**e for e in u.f1_exponents])
+    F2 = u.f2_scale * np.diag([delta**e for e in u.f2_exponents])
+    dA, dB, dC = u.H1 @ F1 @ u.E, u.H2 @ F2 @ u.G, u.H3 @ F1 @ u.E
+    dB = np.hstack([dB, np.zeros((dB.shape[0], system.B.shape[1] - dB.shape[1]))])
+    n, k = system.A.shape[0], est.A_K.shape[0]
+    A = np.block([[system.A + dA, np.zeros((n, k))],
+                  [est.B_K @ S @ (system.C + dC), est.A_K]])
+    B = np.vstack([system.B + dB, est.B_K @ S @ system.D])[:, : S.shape[0]]
+    C = np.hstack([-system.L, est.C_K])
+    return A, B, C, np.zeros((C.shape[0], B.shape[1]))
+
+
+def random_estimator(seed, n, m):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return SimpleNamespace(A_K=draw(n, n), B_K=draw(n, m), C_K=draw(1, n))
+
+
+def relative_error(got, ref):
+    return np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1e-300)
+
+
+exponents = st.integers(0, 3)
+grid_points = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+
+
+class TestLoopPolynomial:
+    """The coefficient form of the closed loop against the per-delta
+    formula, over realizable squeezers, both topologies and both channels,
+    and uncertainty models of any exponent pattern and scale."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        feedback=st.booleans(), coherent=st.booleans(), kappa1=positive,
+        kappa2=positive, chi=squeezing, L=estimand, mu=uncertainty,
+        theta=angle,
+        f1=st.lists(exponents, min_size=4, max_size=4),
+        f2=st.lists(exponents, min_size=2, max_size=2),
+        scales=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+        deltas=st.lists(grid_points, min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_the_per_delta_formula(
+        self, feedback, coherent, kappa1, kappa2, chi, L, mu, theta, f1, f2,
+        scales, deltas, seed,
+    ):
+        if feedback:
+            config = feedback_benchmark_config()
+            config["plant"].update(beta=kappa1 + kappa2, kappa1=kappa1,
+                                   kappa2=kappa2, chi=chi, L=L)
+            config["controller"].update(beta_c=kappa1 + kappa2,
+                                        kappa_c1=kappa1, kappa_c2=kappa2,
+                                        chi_c=chi / 2)
+        else:
+            config = series_benchmark_config()
+            config["plant"].update(beta=kappa1, kappa=kappa1, chi=chi, L=L)
+            config["controller"].update(beta_c=kappa2, kappa_c=kappa2,
+                                        chi_c=chi / 2)
+        config.update(mu=mu, homodyne_angles_deg=[theta], strict_pr=True)
+        study = build_study(config)
+        pattern = dict(f1_exponents=f1, f2_exponents=f2,
+                       f1_scale=scales[0], f2_scale=scales[1])
+        study = dataclasses.replace(
+            study,
+            uncertainty=dataclasses.replace(study.uncertainty, **pattern),
+            lifted=dataclasses.replace(study.lifted, **pattern),
+        )
+        name = "coherent" if coherent else "classical"
+        system, u = study.channels[name]
+        est = random_estimator(seed, system.A.shape[0], study.S.shape[0])
+        stacks = study.loop_polynomial(name, est)(deltas)
+        for k, d in enumerate(deltas):
+            ref = reference_loop(system, u, study.S, est, d)
+            for got, want in zip(stacks, ref):
+                assert relative_error(got[k], want) <= 1e-12
+            loop = study.closed_loop(name, d, estimator=est)
+            for m, got in zip("ABCD", stacks):
+                np.testing.assert_array_equal(getattr(loop, m), got[k])
+
+    def test_empty_grid(self, feedback_study):
+        for name in feedback_study.channels:
+            res = delta_sweep(feedback_study.loop_polynomial(name), [], label=name)
+            assert res == SweepResult((), (), name, ())

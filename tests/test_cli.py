@@ -145,6 +145,27 @@ class TestSweepCommand:
         # a single point has zero spread
         assert float(rows[4][1]) == 0.0
 
+    def test_synthesis_failure_exits_3(self, tmp_path, capsys):
+        # the filters are synthesized before any loop is built, so the
+        # failure is a synthesis error and names no delta
+        cfg = series_benchmark_config()
+        cfg["gamma"] = 0.2
+        rc = main(["sweep", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("synthesis error: ARE for X failed")
+        assert "delta" not in err
+
+    def test_delta_grid_outside_the_window_exits_2(self, tmp_path, capsys):
+        cfg = series_benchmark_config()
+        cfg["delta_grid"] = {"min": -1.5, "max": 1.5, "points": 7}
+        rc = main(["sweep", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "config error: delta=-1.5 outside [-1, 1]\n"
+
     def test_deterministic_output(self, tmp_path):
         cfg = series_benchmark_config()
         cfg["delta_grid"] = {"min": -1.0, "max": 1.0, "points": 3}
@@ -178,6 +199,26 @@ class TestReproduceCommand:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["command"] == f"reproduce:{preset}"
 
+    @pytest.mark.parametrize(
+        "preset, classical, coherent",
+        [("fig4", 0.7371, -1.0), ("fig7", 3.6047, -0.5876)],
+    )
+    def test_sweep_meta_reports_stability(self, tmp_path, preset, classical,
+                                          coherent):
+        # under the default gain convention every classical loop is
+        # unstable: its peak gain is an L-infinity number
+        assert main(["reproduce", "--preset", preset, "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        stability = meta["stability"]
+        assert stability["classical"]["unstable_deltas"] == 21
+        assert stability["coherent"]["unstable_deltas"] == 0
+        assert stability["classical"]["max_abscissa"] == pytest.approx(
+            classical, abs=1e-4
+        )
+        assert stability["coherent"]["max_abscissa"] == pytest.approx(
+            coherent, abs=1e-4
+        )
+
     def test_bode_preset_builds_the_study_once(self, tmp_path, monkeypatch):
         built = []
 
@@ -194,8 +235,8 @@ class TestReproduceCommand:
         # fails both feedback assertions
         def losing_sweep(self, deltas, rel_tol=1e-6):
             return (
-                SweepResult((0.0, 1.0), (1.0, 1.0), "classical"),
-                SweepResult((0.0, 1.0), (2.0, 3.0), "coherent"),
+                SweepResult((0.0, 1.0), (1.0, 1.0), "classical", (-1.0, -1.0)),
+                SweepResult((0.0, 1.0), (2.0, 3.0), "coherent", (-1.0, -1.0)),
             )
 
         monkeypatch.setattr(Study, "sweep", losing_sweep)
@@ -249,9 +290,9 @@ class TestTolerance:
         seen = []
         original = analysis._level_set
 
-        def recording_level_set(systems, rel_tol, allow_unstable):
+        def recording_level_set(A, B, C, D, rel_tol, allow_unstable):
             seen.append(rel_tol)
-            return original(systems, rel_tol, allow_unstable)
+            return original(A, B, C, D, rel_tol, allow_unstable)
 
         monkeypatch.setattr(analysis, "_level_set", recording_level_set)
         cfg = series_benchmark_config()

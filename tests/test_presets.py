@@ -60,6 +60,18 @@ class TestStudyChannels:
         results = feedback_study.sweep([0.0])
         assert [r.label for r in results] == list(feedback_study.channels)
 
+    def test_sweep_abscissa(self, series_study, feedback_study, delta_grid_21):
+        # default gain convention: the classical loops are unstable at
+        # every delta, the coherent ones stable
+        for study, classical, coherent in (
+            (series_study, (0.7371, 0.7371), (-1.0, -1.0)),
+            (feedback_study, (3.6047, 3.6047), (-0.6018, -0.5876)),
+        ):
+            for res, (lo, hi) in zip(study.sweep(delta_grid_21),
+                                     (classical, coherent)):
+                assert min(res.abscissa) == pytest.approx(lo, abs=1e-4)
+                assert max(res.abscissa) == pytest.approx(hi, abs=1e-4)
+
     def test_closed_loop_takes_an_explicit_estimator(self, series_study):
         # the route to a filter of another gain convention
         problem = series_study.problems["coherent"]

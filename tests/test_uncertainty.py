@@ -80,6 +80,8 @@ class TestEvaluateDeltas:
     def test_out_of_window(self):
         with pytest.raises(DomainError):
             evaluate_deltas(squeezer_uncertainty(2.0, 0.1), 1.5)
+        with pytest.raises(DomainError, match="delta=nan outside"):
+            evaluate_deltas(squeezer_uncertainty(2.0, 0.1), float("nan"))
 
 
 class TestContractionCheck:
