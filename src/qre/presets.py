@@ -95,7 +95,7 @@ class Study:
     """A fully assembled estimation study.
 
     ``problems`` maps each channel name to its scaled problem; the
-    estimators are synthesized on first use and kept.
+    estimators and their loops are built on first use and kept.
     """
 
     config: dict
@@ -112,6 +112,7 @@ class Study:
     lifted: object = None
     problems: dict = field(default_factory=dict)
     _estimators: dict = field(default_factory=dict, repr=False)
+    _loops: dict = field(default_factory=dict, repr=False)
 
     @property
     def has_controller(self):
@@ -132,11 +133,17 @@ class Study:
         return self._estimators[name]
 
     def loop_polynomial(self, name, estimator=None):
-        """Disturbance-to-error loop of the channel's filter, polynomial in delta."""
+        """Disturbance-to-error loop of the channel's filter, polynomial in
+        delta; the loop of the design-point filter is built once and kept."""
+        if estimator is None and name in self._loops:
+            return self._loops[name]
         est = estimator if estimator is not None else self.estimator(name)
         system, u = self.channels[name]
         A, B, C, D, L = (getattr(system, m) for m in "ABCDL")
-        return loop_polynomial(A, B, C, D, L, self.S, est, u.coefficients())
+        loop = loop_polynomial(A, B, C, D, L, self.S, est, u.coefficients())
+        if estimator is None:
+            self._loops[name] = loop
+        return loop
 
     def closed_loop(self, name, delta, estimator=None):
         """Disturbance-to-error system of the channel's filter at one delta."""

@@ -3,8 +3,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import assert_same_outcome as assert_same_result
+from reference import outcome as result
+from reference import solve_care as reference_solve_care
 from test_synthesis import angle, estimand, positive, scaling, squeezing, uncertainty
 
 from qre import synthesis
@@ -23,6 +26,7 @@ from qre.linalg import (
     CareInstance,
     adjoint,
     hermitian_inv_sqrt,
+    _solve_cares,
     max_singular_value,
     solve_care,
 )
@@ -295,16 +299,27 @@ class TestAgainstSchurReference:
         S = homodyne_matrix([np.deg2rad(theta)])
         cares = []
 
-        def record(inst):
-            cares.append(inst)
-            return solve_care(inst)
+        def record(A, R, Q, *args):
+            # every CARE of the stack, as the instance it would be alone
+            for a, r, q in zip(*np.broadcast_arrays(A, R, Q)):
+                cares.append(CareInstance(A=a, R=r, Q=q))
+            return _solve_cares(A, R, Q, *args)
 
-        with mock.patch.object(synthesis, "solve_care", record):
-            for system, channel_u in channels:
+        problems = []
+        for system, channel_u in channels:
+            try:
+                problems.append(assemble(system, channel_u, S, *scaling))
+            except QreError:
+                pass
+        assume(problems)
+        with mock.patch.object(synthesis, "_solve_cares", record):
+            for p in problems:
                 try:
-                    synthesis.synthesize(assemble(system, channel_u, S, *scaling))
+                    synthesis.synthesize(p)
                 except QreError:
                     pass
+        # each synthesis solves its state equation at least
+        assert len(cares) >= len(problems)
         for inst in cares:
             assert_same_outcome(inst)
 
@@ -335,3 +350,77 @@ class TestAgainstSchurReference:
             if X is not None:
                 assert backward_residual(inst, X) <= 1e-13
                 assert np.max(np.linalg.eigvals(inst.A + inst.R @ X).real) < 0
+
+
+def singular_kleinman_care():
+    """A has the eigenvalues 0 and 3 and R = 0, so the Kleinman step's
+    Kronecker matrix is exactly singular (see test_singular_kleinman_step)."""
+    return CareInstance(A=[[1.0, -2.0], [-1.0, 2.0]], R=np.zeros((2, 2)),
+                        Q=[[1.0, 1.0], [1.0, 1.0]])
+
+
+def assert_stack_matches_one_at_a_time(insts):
+    """Each CARE of a stack gets the outcome of its one-CARE solve and of
+    the per-CARE reference: the same class and message, X bitwise."""
+    got = _solve_cares(*(np.stack([getattr(i, m) for i in insts]) for m in "ARQ"))
+    assert len(got) == len(insts)
+    for inst, sol in zip(insts, got):
+        assert_same_result(sol, result(solve_care, inst))
+        assert_same_result(sol, result(reference_solve_care, inst))
+    return [type(sol).__name__ for sol in got]
+
+
+class TestStackedKernel:
+    """The stacked CARE kernel: every gate per CARE, a failed CARE leaving
+    the stack without disturbing the others."""
+
+    def test_singular_kleinman_step_beside_a_solvable_care(self):
+        solvable = random_care(np.random.default_rng(3), 2, 1, 2)
+        classes = assert_stack_matches_one_at_a_time(
+            [solvable, singular_kleinman_care(), solvable]
+        )
+        assert classes == ["CareSolution", "ResidualTooLarge", "CareSolution"]
+
+    def test_every_gate_in_one_stack(self):
+        insts = [
+            CareInstance(A=[[-1.0]], R=[[0.0]], Q=[[2.0]]),
+            CareInstance(A=[[0.0]], R=[[0.0]], Q=[[1.0]]),  # gap
+            CareInstance(A=[[1.0]], R=[[0.0]], Q=[[0.0]]),  # singular U1
+            CareInstance(A=[[0.0]], R=[[-1.0]], Q=[[1.0]]),
+        ]
+        assert assert_stack_matches_one_at_a_time(insts) == [
+            "CareSolution", "ImaginaryAxisEigenvalue", "SingularU1", "CareSolution"
+        ]
+        unstable = CareInstance(A=[[2.0, -1.0], [2.0, 2.0]], R=np.zeros((2, 2)),
+                                Q=[[1.0, -1.0], [-1.0, 1.0]])
+        assert assert_stack_matches_one_at_a_time(
+            [unstable, singular_kleinman_care(), unstable]
+        ) == ["UnstableSystem", "ResidualTooLarge", "UnstableSystem"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=seeds, n=st.integers(1, 4), k=st.integers(1, 6),
+           singular=st.booleans())
+    def test_random_mixed_stacks(self, seed, n, k, singular):
+        rng = np.random.default_rng(seed)
+        insts = []
+        for _ in range(k):
+            B = complex_normal(rng, (n, rng.integers(1, n + 1)))
+            C = complex_normal(rng, (rng.integers(1, n + 1), n))
+            # R of either sign, so that every gate can be met
+            insts.append(CareInstance(A=complex_normal(rng, (n, n)),
+                                      R=rng.choice([-1, 0, 1]) * B @ B.conj().T,
+                                      Q=C.conj().T @ C))
+        if singular and n == 2:
+            insts.insert(rng.integers(0, k + 1), singular_kleinman_care())
+        assert_stack_matches_one_at_a_time(insts)
+
+    def test_non_hermitian_or_non_finite_slice(self):
+        good = random_care(np.random.default_rng(5), 2, 1, 1)
+        R = np.stack([good.R, good.R + [[0, 1], [0, 0]], good.R])
+        Q = np.stack([good.Q, good.Q, np.full((2, 2), np.nan)])
+        got = _solve_cares(good.A, R, Q)
+        assert_same_result(got[0], solve_care(good))
+        assert isinstance(got[1], ValueError)
+        assert str(got[1]) == "R is not Hermitian to tolerance"
+        assert isinstance(got[2], ValueError)
+        assert str(got[2]) == "matrix contains NaN or Inf entries"

@@ -1,8 +1,10 @@
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qre import presets
 from qre.errors import NotPhysicallyRealizable
 from qre.presets import (
     build_study,
@@ -55,6 +57,25 @@ class TestStudyChannels:
     def test_estimator_is_synthesized_once(self, series_study):
         for name in series_study.channels:
             assert series_study.estimator(name) is series_study.estimator(name)
+
+    def test_loop_is_built_once_per_channel(self):
+        study = build_study(series_benchmark_config())
+        with mock.patch.object(
+            presets, "loop_polynomial", wraps=presets.loop_polynomial
+        ) as build:
+            for name in study.channels:
+                loop = study.loop_polynomial(name)
+                for delta in (-1.0, 0.0, 0.5):
+                    study.closed_loop(name, delta)
+                study.sweep([0.0, 1.0])
+                assert study.loop_polynomial(name) is loop
+            assert build.call_count == 2
+            # a caller's filter gets a loop of its own, not kept
+            est = synthesize(study.problems["coherent"], gain_convention="theorem")
+            other = study.loop_polynomial("coherent", est)
+            assert other is not study.loop_polynomial("coherent")
+            study.closed_loop("coherent", 0.5, estimator=est)
+            assert build.call_count == 4
 
     def test_sweep_labels_follow_the_channels(self, feedback_study):
         results = feedback_study.sweep([0.0])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qre.analysis import StateSpace, hinf_norm
 from qre.augmentation import augment, augment_feedback, lift_uncertainty
+from qre import synthesis
 from qre.errors import CareFailure, QreError, ScalingTooLarge
 from qre.quantum import (
     CoherentController,
@@ -75,6 +77,15 @@ class TestAssembleClassical:
         plant, u, S = series_parts
         with pytest.raises(ScalingTooLarge):
             assemble(plant, u, S, 0.65, 0.19, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_rejects_non_finite_or_non_positive_scaling(self, series_parts, bad, slot):
+        plant, u, S = series_parts
+        scaling = [0.65, 0.19, 0.81]
+        scaling[slot] = bad
+        with pytest.raises(QreError, match="must all be positive and finite"):
+            assemble(plant, u, S, *scaling)
 
 
 class TestAssembleFeedbackClassical:
@@ -238,6 +249,46 @@ class TestEpsGridSearch:
         assert (e1, e2) in {(a, b) for a in (0.1, 0.19) for b in (0.5, 0.81)}
         assert np.isfinite(val)
 
+    @staticmethod
+    def scripted(series_parts, values, eps1_grid=(0.1, 0.19), eps2_grid=(0.5, 0.81)):
+        """eps_grid_search whose objective returns the listed values in the
+        order it is called, and the (eps1, eps2) of each call."""
+        plant, u, S = series_parts
+        calls, values = [], iter(values)
+
+        def objective(est):
+            calls.append((est.eps1, est.eps2))
+            return next(values)
+
+        best = eps_grid_search(
+            lambda e1, e2: assemble(plant, u, S, 0.65, e1, e2),
+            objective,
+            eps1_grid=list(eps1_grid),
+            eps2_grid=list(eps2_grid),
+        )
+        return best, calls
+
+    def test_first_minimum_in_row_major_order(self, series_parts):
+        (e1, e2, val, est), calls = self.scripted(series_parts, [2.0, 1.0, 1.0, 3.0])
+        assert calls == [(0.1, 0.5), (0.1, 0.81), (0.19, 0.5), (0.19, 0.81)]
+        assert (e1, e2, val) == (0.1, 0.81, 1.0)
+        assert (est.eps1, est.eps2) == (0.1, 0.81)
+
+    def test_non_finite_objective_is_infeasible(self, series_parts):
+        (e1, e2, val, _), _ = self.scripted(series_parts, [np.nan, -5.0, -5.0, -5.0])
+        assert (e1, e2, val) == (0.1, 0.81, -5.0)
+        (e1, e2, val, _), _ = self.scripted(series_parts, [1.0, -np.inf, np.nan, 2.0])
+        assert (e1, e2, val) == (0.1, 0.5, 1.0)
+        with pytest.raises(QreError, match="no feasible"):
+            self.scripted(series_parts, [np.nan] * 4)
+
+    def test_non_finite_scaling_point_is_skipped(self, series_parts):
+        (e1, e2, val, _), calls = self.scripted(
+            series_parts, [4.0, 3.0], eps1_grid=(np.nan, 0.19)
+        )
+        assert calls == [(0.19, 0.5), (0.19, 0.81)]
+        assert (e1, e2, val) == (0.19, 0.81, 3.0)
+
 
 def pass_through_controller():
     """Zero-state series controller whose output is its input."""
@@ -333,3 +384,108 @@ class TestClassicalIsDegenerateCoherent:
                 scaling,
             ),
         )
+
+
+def benchmark_channels(study):
+    """(name, assemble(eps1, eps2)) of each channel of a study."""
+    return [
+        (name, lambda e1, e2, system=system, u=u: assemble(
+            system, u, study.S, study.gamma, e1, e2
+        ))
+        for name, (system, u) in study.channels.items()
+    ]
+
+
+def grid_problems(assemble_at, eps1_grid, eps2_grid):
+    """The problems of a grid, in row-major order, where assembly succeeds."""
+    problems = []
+    for e1 in eps1_grid:
+        for e2 in eps2_grid:
+            try:
+                problems.append(assemble_at(float(e1), float(e2)))
+            except QreError:
+                pass
+    return problems
+
+
+def assert_stack_matches_reference(problems, **kwargs):
+    """Each outcome of the stacked synthesis equals the per-problem
+    reference's; returns the outcome class names."""
+    got = synthesis._synthesize(problems, **kwargs)
+    assert len(got) == len(problems)
+    for p, est in zip(problems, got):
+        reference.assert_same_outcome(est, reference.outcome(
+            reference.synthesize, p, **kwargs
+        ))
+        # the one-problem case is the same kernel
+        reference.assert_same_outcome(reference.outcome(synthesize, p, **kwargs), est)
+    return [type(est).__name__ for est in got]
+
+
+class TestStackedSynthesis:
+    """The stacked synthesis against the per-problem reference: the same
+    outcome class at every grid point, and every Estimator field equal."""
+
+    @pytest.mark.parametrize("require_stable", [False, True])
+    @pytest.mark.parametrize("convention", ["reproduction", "theorem"])
+    def test_benchmark_grids(self, series_study, feedback_study, convention,
+                             require_stable):
+        grid = np.logspace(-2, 0, 9)
+        feasible = 0
+        for study in (series_study, feedback_study):
+            for _, assemble_at in benchmark_channels(study):
+                classes = assert_stack_matches_reference(
+                    grid_problems(assemble_at, grid, grid),
+                    gain_convention=convention,
+                    require_stable=require_stable,
+                )
+                feasible += classes.count("Estimator")
+        if convention == "theorem" and require_stable:
+            # the design benchmark's setting: 128 of the 324 points
+            assert feasible == 128
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(feedback=st.booleans(), kappa1=positive, kappa2=positive,
+           chis=st.lists(squeezing, min_size=2, max_size=2), L=estimand,
+           mu=uncertainty, theta=angle,
+           gammas=st.lists(st.floats(0.1, 2.0), min_size=2, max_size=2),
+           eps1=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+           eps2=st.lists(st.floats(0.05, 1.2), min_size=1, max_size=3),
+           convention=st.sampled_from(["reproduction", "theorem"]),
+           require_stable=st.booleans())
+    def test_realizable_squeezers(self, feedback, kappa1, kappa2, chis, L, mu,
+                                  theta, gammas, eps1, eps2, convention,
+                                  require_stable):
+        # one stack per channel holds the grids of two squeezings at two
+        # attenuation levels, so Abar, gamma and the scaled maps all vary
+        u = squeezer_uncertainty(np.sqrt(kappa1), mu)
+        S = homodyne_matrix([np.deg2rad(theta)])
+        stacks = [[], []]
+        for chi, gamma in zip(chis, gammas):
+            if feedback:
+                plant = feedback_squeezer_plant(
+                    kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
+                )
+                ctrl = pass_through_feedback_controller()
+                channels = [(plant, u),
+                            (augment_feedback(plant, ctrl),
+                             lift_uncertainty(u, ctrl, plant=plant))]
+            else:
+                plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
+                ctrl = squeezer_controller(kappa2, kappa2, chi / 2, strict=True)
+                channels = [(plant, u),
+                            (augment(plant, ctrl), lift_uncertainty(u, ctrl))]
+            for stack, (system, channel_u) in zip(stacks, channels):
+                stack += grid_problems(
+                    lambda e1, e2: assemble(system, channel_u, S, gamma, e1, e2),
+                    eps1, eps2,
+                )
+        for problems in stacks:
+            assert_stack_matches_reference(
+                problems, gain_convention=convention, require_stable=require_stable
+            )
+
+    def test_empty_stack(self):
+        assert synthesis._synthesize([]) == []
+        with pytest.raises(QreError, match="unknown gain convention"):
+            synthesis._synthesize([], gain_convention="other")
