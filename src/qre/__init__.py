@@ -22,7 +22,6 @@ from .analysis import (
 from .augmentation import (
     AugmentedSystem,
     augment,
-    augment_feedback,
     lift_uncertainty,
 )
 from .errors import QreError
@@ -43,7 +42,6 @@ from .presets import (
 from .quantum import (
     CoherentController,
     DoubledOperator,
-    HomodyneConfig,
     QuantumPlant,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
@@ -78,7 +76,6 @@ __all__ = [
     "solve_care",
     "DoubledOperator",
     "omega",
-    "HomodyneConfig",
     "homodyne_matrix",
     "QuantumPlant",
     "CoherentController",
@@ -93,7 +90,6 @@ __all__ = [
     "contraction_check",
     "AugmentedSystem",
     "augment",
-    "augment_feedback",
     "lift_uncertainty",
     "ScaledProblem",
     "Estimator",

@@ -19,7 +19,7 @@ from functools import partialmethod
 import numpy as np
 
 from .analysis import closed_loop_error_system, delta_sweep, loop_polynomial
-from .augmentation import augment, augment_feedback, lift_uncertainty
+from .augmentation import augment, lift_uncertainty
 from .quantum import (
     feedback_squeezer_controller,
     feedback_squeezer_plant,
@@ -33,6 +33,7 @@ from .uncertainty import evaluate_deltas, squeezer_uncertainty
 # bindings of this module that the benchmark's span tracer
 # (benchmarks/spans.py) wraps by name, imported ones included
 assemble_classical = assemble_feedback_classical = assemble_augmented = assemble
+augment_feedback = augment
 lifted_deltas = evaluate_deltas
 
 __all__ = [
@@ -211,13 +212,12 @@ def build_study(config):
                 cc["beta_c"], cc["kappa_c1"], cc["kappa_c2"], cc["chi_c"],
                 strict=strict_pr,
             )
-            augmented = augment_feedback(plant, controller)
         else:
             controller = squeezer_controller(
                 cc["beta_c"], cc["kappa_c"], cc["chi_c"], strict=strict_pr
             )
-            augmented = augment(plant, controller)
-        lifted = lift_uncertainty(u, controller, plant=plant)
+        augmented = augment(plant, controller)
+        lifted = lift_uncertainty(u, controller, plant)
 
     study = Study(
         config=dict(config),

@@ -2,8 +2,13 @@
 
 Builders and validators for annihilation/creation doubled-up systems: the
 conjugate-block operator structure, homodyne measurement matrices, and the
-dynamic-squeezer plant/controller realizations (with and without a coherent
-feedback channel).
+dynamic-squeezer plant/controller realizations.
+
+Every plant has a control input B2 and every controller the two inputs and
+two outputs of a coherent-feedback controller.  A port that a topology does
+not use has zero width: the series squeezer plant has an n x 0 B2, and the
+series squeezer controller has no field input of its own and no control
+output, so B_c1, C_c, Dt_c1, D_c1 and D_c2 have a zero dimension.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +21,6 @@ from .linalg import as_cmatrix
 __all__ = [
     "DoubledOperator",
     "omega",
-    "HomodyneConfig",
     "homodyne_matrix",
     "QuantumPlant",
     "CoherentController",
@@ -105,25 +109,13 @@ def is_doubled(m, tol=1e-10):
     return bool(err <= tol * scale)
 
 
-@dataclass(frozen=True)
-class HomodyneConfig:
-    """Quadrature measurement angles, in radians."""
-
-    angles: tuple
-
-    def __post_init__(self):
-        angles = tuple(float(a) for a in np.atleast_1d(self.angles))
-        if not all(np.isfinite(angles)):
-            raise DomainError("homodyne angles must be finite")
-        object.__setattr__(self, "angles", angles)
-
-
-def homodyne_matrix(cfg):
+def homodyne_matrix(angles):
     """Measurement map S = [S1 S2] with S1 = diag(e^{-i theta}/sqrt(2)),
-    S2 = diag(e^{i theta}/sqrt(2)); rows are orthonormal (S S^dag = I)."""
-    if not isinstance(cfg, HomodyneConfig):
-        cfg = HomodyneConfig(tuple(np.atleast_1d(cfg)))
-    th = np.asarray(cfg.angles)
+    S2 = diag(e^{i theta}/sqrt(2)); rows are orthonormal (S S^dag = I).
+    The quadrature angles are in radians and must be finite."""
+    th = np.atleast_1d(np.asarray(angles, dtype=float))
+    if not np.all(np.isfinite(th)):
+        raise DomainError("homodyne angles must be finite")
     s1 = np.diag(np.exp(-1j * th) / np.sqrt(2))
     s2 = np.diag(np.exp(1j * th) / np.sqrt(2))
     return np.hstack([s1, s2])
@@ -133,47 +125,38 @@ def homodyne_matrix(cfg):
 class QuantumPlant:
     """Doubled-up plant realization.
 
-    B1 drives the disturbance field; B2, when present, is a control input
-    fed by a coherent-feedback controller.  D1 is the feedthrough from the
-    first input block (the second block has no feedthrough).
+    B1 drives the disturbance field; B2 is the control input fed by a
+    coherent-feedback controller (n x 0 on a plant without one).  D1 is the
+    feedthrough from the first input block (the second block has no
+    feedthrough).
     """
 
     A: np.ndarray
     B1: np.ndarray
+    B2: np.ndarray
     C: np.ndarray
     D1: np.ndarray
     L: np.ndarray
-    B2: np.ndarray = None
     physically_realizable: bool = True
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("A", "B1", "C", "D1", "L"):
+        for name in ("A", "B1", "B2", "C", "D1", "L"):
             object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
-        if self.B2 is not None:
-            object.__setattr__(self, "B2", as_cmatrix(self.B2))
         n2 = self.A.shape[0]
-        if self.A.shape != (n2, n2) or self.B1.shape[0] != n2:
-            raise ShapeMismatch("A must be square and conform with B1")
+        if self.A.shape != (n2, n2) or {self.B1.shape[0], self.B2.shape[0]} != {n2}:
+            raise ShapeMismatch("A must be square and conform with B1 and B2")
         if self.C.shape[1] != n2 or self.L.shape[1] != n2:
             raise ShapeMismatch("C and L must have a column per state")
 
     @property
-    def has_control_input(self):
-        return self.B2 is not None
-
-    @property
     def B(self):
-        """Full input matrix: disturbance block, then control block if any."""
-        if self.B2 is None:
-            return self.B1
+        """Full input matrix: disturbance block, then control block."""
         return np.hstack([self.B1, self.B2])
 
     @property
     def D(self):
         """Full feedthrough matching the columns of B."""
-        if self.B2 is None:
-            return self.D1
         return np.hstack([self.D1, np.zeros((self.D1.shape[0], self.B2.shape[1]))])
 
 
@@ -181,33 +164,39 @@ class QuantumPlant:
 class CoherentController:
     """Doubled-up coherent controller realization.
 
-    A feedback-capable controller has two input blocks (its own vacuum
-    field B_c1 and the plant output B_c2) and two outputs: a monitored
-    field (Ct_c, Dt_c1, Dt_c2) routed to homodyne detection, and a control
-    field (C_c, D_c1, D_c2) routed back to the plant.
+    Two input blocks, its own vacuum field (B_c1) and the plant output
+    (B_c2), and two outputs: a monitored field (Ct_c, Dt_c1, Dt_c2) routed
+    to homodyne detection and a control field (C_c, D_c1, D_c2) routed back
+    to the plant.  A port the topology does not use has zero width.
     """
 
     A_c: np.ndarray
     B_c1: np.ndarray
+    B_c2: np.ndarray
+    Ct_c: np.ndarray
     C_c: np.ndarray
-    feedback_capable: bool = False
-    B_c2: np.ndarray = None
-    Ct_c: np.ndarray = None
-    D_c: np.ndarray = None
-    Dt_c1: np.ndarray = None
-    Dt_c2: np.ndarray = None
-    D_c1: np.ndarray = None
-    D_c2: np.ndarray = None
+    Dt_c1: np.ndarray
+    Dt_c2: np.ndarray
+    D_c1: np.ndarray
+    D_c2: np.ndarray
     physically_realizable: bool = True
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("A_c", "B_c1", "C_c"):
+        blocks = "A_c B_c1 B_c2 Ct_c C_c Dt_c1 Dt_c2 D_c1 D_c2".split()
+        for name in blocks:
             object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
-        for name in ("B_c2", "Ct_c", "D_c", "Dt_c1", "Dt_c2", "D_c1", "D_c2"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, as_cmatrix(v))
+        # each block's rows come from its output port, its columns from
+        # its input port
+        k, m1, p = self.A_c.shape[0], self.B_c1.shape[1], self.B_c2.shape[1]
+        q, r = self.Ct_c.shape[0], self.C_c.shape[0]
+        shapes = ((k, k), (k, m1), (k, p), (q, k), (r, k),
+                  (q, m1), (q, p), (r, m1), (r, p))
+        for name, shape in zip(blocks, shapes):
+            if getattr(self, name).shape != shape:
+                raise ShapeMismatch(
+                    f"{name} has shape {getattr(self, name).shape}, expected {shape}"
+                )
 
 
 def _check_realizable(lhs, rhs, strict, what):
@@ -219,7 +208,8 @@ def _check_realizable(lhs, rhs, strict, what):
 
 def squeezer_plant(beta, kappa, chi, L, strict=False):
     """Single-input dynamic squeezer: A = omega(-beta/2, -chi),
-    B = -sqrt(kappa) I, C = sqrt(kappa) I, D = I.
+    B1 = -sqrt(kappa) I, C = sqrt(kappa) I, D1 = I, and no control input
+    (B2 is 2 x 0).
 
     Physically realizable iff beta equals kappa; in strict mode a
     violation raises, otherwise it is recorded on the result.
@@ -231,6 +221,7 @@ def squeezer_plant(beta, kappa, chi, L, strict=False):
     return QuantumPlant(
         A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)).realization,
         B1=-rk * np.eye(2),
+        B2=np.zeros((2, 0)),
         C=rk * np.eye(2),
         D1=np.eye(2),
         L=np.atleast_2d(np.asarray(L, dtype=complex)),
@@ -240,21 +231,25 @@ def squeezer_plant(beta, kappa, chi, L, strict=False):
 
 
 def squeezer_controller(beta_c, kappa_c, chi_c, strict=False):
-    """Dynamic-squeezer coherent controller (no feedback output):
-    A_c = omega(-beta_c/2, -chi_c), B_c = -sqrt(kappa_c) I,
-    C_c = sqrt(kappa_c) I, D_c = I; realizable iff beta_c = kappa_c."""
+    """Series dynamic-squeezer coherent controller, driven by the plant
+    output alone and with a monitored output alone:
+    A_c = omega(-beta_c/2, -chi_c), B_c2 = -sqrt(kappa_c) I,
+    Ct_c = sqrt(kappa_c) I, Dt_c2 = I; its own field input and its control
+    output have zero width.  Realizable iff beta_c = kappa_c."""
     if beta_c <= 0 or kappa_c <= 0:
         raise DomainError("beta_c and kappa_c must be positive")
-    ok = _check_realizable(
-        beta_c, kappa_c, strict, "controller loss/coupling mismatch"
-    )
+    ok = _check_realizable(beta_c, kappa_c, strict, "controller loss/coupling mismatch")
     rk = np.sqrt(kappa_c)
     return CoherentController(
         A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)).realization,
-        B_c1=-rk * np.eye(2),
-        C_c=rk * np.eye(2),
-        D_c=np.eye(2),
-        feedback_capable=False,
+        B_c1=np.zeros((2, 0)),
+        B_c2=-rk * np.eye(2),
+        Ct_c=rk * np.eye(2),
+        C_c=np.zeros((0, 2)),
+        Dt_c1=np.zeros((2, 0)),
+        Dt_c2=np.eye(2),
+        D_c1=np.zeros((0, 0)),
+        D_c2=np.zeros((0, 2)),
         physically_realizable=ok,
         params={"beta_c": beta_c, "kappa_c": kappa_c, "chi_c": chi_c},
     )
@@ -309,12 +304,7 @@ def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False
         Dt_c2=np.zeros((2, 2)),
         D_c1=np.zeros((2, 2)),
         D_c2=np.eye(2),
-        feedback_capable=True,
         physically_realizable=ok,
-        params={
-            "beta_c": beta_c,
-            "kappa_c1": kappa_c1,
-            "kappa_c2": kappa_c2,
-            "chi_c": chi_c,
-        },
+        params={"beta_c": beta_c, "kappa_c1": kappa_c1, "kappa_c2": kappa_c2,
+                "chi_c": chi_c},
     )

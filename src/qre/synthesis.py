@@ -124,7 +124,7 @@ def assemble(system, u, S, gamma, eps1, eps2):
     plant/controller augmented system.  ``u`` is its uncertainty model.  The
     scaling (I - eps2^2 G^dag G)^(-1/2) acts on all columns of B and D; the
     uncertain block drives the leading inputs, so a G narrower than B gets
-    zero columns for the rest (the control input of a two-port plant).
+    zero columns for the rest (a plant's control input, a controller's field).
     """
     if not all(np.isfinite(x) and x > 0 for x in (gamma, eps1, eps2)):
         raise QreError("gamma, eps1, eps2 must all be positive and finite")

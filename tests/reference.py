@@ -1,7 +1,16 @@
-"""Per-problem reference bodies of the stacked solvers: one CARE and one
-estimator at a time, as qre solved them before the Riccati solver and the
-synthesis ran on stacks.  The stacked kernels must give the same outcome
-class and, where they solve, equal matrices and diagnostics."""
+"""Reference bodies for what qre now computes another way.
+
+Per-problem bodies of the stacked solvers: one CARE and one estimator at a
+time, as qre solved them before the Riccati solver and the synthesis ran on
+stacks.  The stacked kernels must give the same outcome class and, where
+they solve, equal matrices and diagnostics.
+
+The series interconnection's own block formula, as qre built the series
+topology before it became the zero-port case of the coherent-feedback
+formula.  ``augment`` and ``lift_uncertainty`` must give the same matrices,
+up to the sign of a zero."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +30,7 @@ from qre.linalg import (
     CareInstance,
     CareSolution,
 )
+from qre.augmentation import AugmentedSystem
 from qre.synthesis import Estimator
 
 
@@ -197,3 +207,35 @@ def assert_same_outcome(got, want):
             np.testing.assert_array_equal(a, b, err_msg=name, strict=True)
         else:
             assert a == b, name
+
+
+def series_augment(plant, ctrl):
+    """The plant output field drives the controller, whose output is
+    measured: A_a = [[A, 0], [B_c C, A_c]], B_a = [B; B_c D],
+    C_a = [D_c C, C_c], D_a = D_c D, L_a = [L, 0], where the series
+    controller's B_c, C_c, D_c are the zero-port controller's B_c2, Ct_c,
+    Dt_c2 and B, D the plant's disturbance blocks B1, D1."""
+    A, B, C, D, L = plant.A, plant.B1, plant.C, plant.D1, plant.L
+    Ac, Bc, Cc, Dc = ctrl.A_c, ctrl.B_c2, ctrl.Ct_c, ctrl.Dt_c2
+    n, k = A.shape[0], Ac.shape[0]
+    return AugmentedSystem(
+        A=np.block([[A, np.zeros((n, k))], [Bc @ C, Ac]]),
+        B=np.vstack([B, Bc @ D]),
+        C=np.hstack([Dc @ C, Cc]),
+        D=Dc @ D,
+        L=np.hstack([L, np.zeros((L.shape[0], k))]),
+    )
+
+
+def series_lift(u, ctrl):
+    """The uncertainty factors in the coordinates of ``series_augment``:
+    H1 -> [H1; B_c H3], H2 -> [H2; 0], H3 -> D_c H3, E -> [E, 0], G
+    unchanged."""
+    k = ctrl.A_c.shape[0]
+    return replace(
+        u,
+        H1=np.vstack([u.H1, ctrl.B_c2 @ u.H3]),
+        H2=np.vstack([u.H2, np.zeros((k, u.H2.shape[1]))]),
+        H3=ctrl.Dt_c2 @ u.H3,
+        E=np.hstack([u.E, np.zeros((u.E.shape[0], k))]),
+    )

@@ -202,33 +202,20 @@ def test_criterion_9_structural_suite(series_study, feedback_study):
         assert np.abs(t.dA - da).max() <= 1e-13
         assert np.abs(t.dB - (-mu * d * alpha) * np.eye(2)).max() <= 1e-13
         assert np.abs(t.dC - (mu * d * alpha) * np.eye(2)).max() <= 1e-13
-    # lifted-uncertainty consistency, both topologies
+    # lifted-uncertainty consistency, both topologies: one formula, the
+    # series plant's control input B2 having no columns
     for study in (series_study, feedback_study):
-        ctrl = study.controller
+        ctrl, B2 = study.controller, study.plant.B2
         for d in (-1.0, -0.5, 0.0, 0.5, 1.0):
             t = evaluate_deltas(study.uncertainty, d)
             ta = evaluate_deltas(study.lifted, d)
-            if study.topology == "coherent_classical":
-                da = np.block(
-                    [
-                        [t.dA, np.zeros((2, 2))],
-                        [ctrl.B_c1 @ t.dC, np.zeros((2, 2))],
-                    ]
-                )
-                db = np.vstack([t.dB, np.zeros((2, 2))])
-            else:
-                da = np.block(
-                    [
-                        [
-                            t.dA + study.plant.B2 @ ctrl.D_c2 @ t.dC,
-                            np.zeros((2, 2)),
-                        ],
-                        [ctrl.B_c2 @ t.dC, np.zeros((2, 2))],
-                    ]
-                )
-                db = np.block(
-                    [[t.dB, np.zeros((2, 2))], [np.zeros((2, 4))]]
-                )
+            da = np.block(
+                [
+                    [t.dA + B2 @ ctrl.D_c2 @ t.dC, np.zeros((2, 2))],
+                    [ctrl.B_c2 @ t.dC, np.zeros((2, 2))],
+                ]
+            )
+            db = np.vstack([t.dB, np.zeros((2, 2))])
             assert np.abs(ta.dA - da).max() <= 1e-12
             assert np.abs(ta.dB - db).max() <= 1e-12
     # block identity: augmented scaled matrices from plant-level ones
@@ -241,16 +228,16 @@ def test_criterion_9_structural_suite(series_study, feedback_study):
     pc = assemble(plant, u, S, 0.65, 0.19, 0.81)
     pa = assemble(
         augment(plant, ctrl),
-        lift_uncertainty(u, ctrl),
+        lift_uncertainty(u, ctrl, plant),
         S,
         0.65,
         0.19,
         0.81,
     )
     assert (
-        np.abs(pa.B1bar - np.vstack([pc.B1bar, ctrl.B_c1 @ pc.D21bar])).max()
+        np.abs(pa.B1bar - np.vstack([pc.B1bar, ctrl.B_c2 @ pc.D21bar])).max()
         <= 1e-12
     )
-    assert np.abs(pa.D21bar - ctrl.D_c @ pc.D21bar).max() <= 1e-12
+    assert np.abs(pa.D21bar - ctrl.Dt_c2 @ pc.D21bar).max() <= 1e-12
     assert np.abs(pa.E2bar - pc.E2bar).max() <= 1e-12
     print("\ncriterion 9 PASS: structural identity suite")

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from qre.augmentation import (
-    augment,
-    augment_feedback,
-    lift_uncertainty,
-)
+from qre.augmentation import augment, lift_uncertainty
 from qre.errors import WrongTopology
 from qre.quantum import (
     CoherentController,
@@ -35,14 +31,24 @@ def feedback_parts():
     return plant, ctrl, u
 
 
+def series_controller(A_c, B_c, C_c, D_c):
+    """A series controller in the zero-port convention: driven by the plant
+    output through B_c, measured through C_c and D_c, with no field input
+    of its own and no control output."""
+    k, p = np.shape(B_c)
+    q = np.shape(C_c)[0]
+    return CoherentController(
+        A_c=A_c, B_c1=np.zeros((k, 0)), B_c2=B_c, Ct_c=C_c, C_c=np.zeros((0, k)),
+        Dt_c1=np.zeros((q, 0)), Dt_c2=D_c, D_c1=np.zeros((0, 0)),
+        D_c2=np.zeros((0, p)),
+    )
+
+
 class TestAugment:
     def test_pass_through_controller(self, series_parts):
         plant, _, _ = series_parts
-        ctrl = CoherentController(
-            A_c=-np.eye(2),
-            B_c1=np.zeros((2, 2)),
-            C_c=np.zeros((2, 2)),
-            D_c=np.eye(2),
+        ctrl = series_controller(
+            -np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)
         )
         a = augment(plant, ctrl)
         np.testing.assert_array_equal(a.A[:2, 2:], np.zeros((2, 2)))
@@ -62,9 +68,20 @@ class TestAugment:
         assert a.A.shape == (4, 4)
         assert a.B.shape == (4, 2)
 
-    def test_rejects_feedback_controller(self, feedback_parts):
-        plant, ctrl, _ = feedback_parts
-        with pytest.raises(WrongTopology):
+    def test_rejects_feedback_controller(self, series_parts, feedback_parts):
+        # its control output is two wide, the series plant's control input
+        # has no width
+        plant, _, _ = series_parts
+        _, ctrl, _ = feedback_parts
+        with pytest.raises(WrongTopology, match=r"\(2, 2\) .* \(2, 0\)"):
+            augment(plant, ctrl)
+
+    def test_rejects_input_width_mismatch(self, series_parts):
+        plant, _, _ = series_parts
+        ctrl = series_controller(
+            -np.eye(2), np.zeros((2, 4)), np.eye(2), np.zeros((2, 4))
+        )
+        with pytest.raises(WrongTopology, match=r"\(4, 0\) .* \(2, 0\)"):
             augment(plant, ctrl)
 
     def test_preserves_doubled_structure(self, series_parts):
@@ -87,16 +104,15 @@ class TestAugmentFeedback:
             Dt_c2=np.zeros((2, 2)),
             D_c1=np.zeros((2, 2)),
             D_c2=np.zeros((2, 2)),
-            feedback_capable=True,
         )
-        a = augment_feedback(plant, ctrl)
+        a = augment(plant, ctrl)
         np.testing.assert_array_equal(a.A[:2, :2], plant.A)
         np.testing.assert_array_equal(a.A[:2, 2:], np.zeros((2, 2)))
         np.testing.assert_array_equal(a.A[2:, :2], np.zeros((2, 2)))
 
     def test_benchmark_blocks(self, feedback_parts):
         plant, ctrl, _ = feedback_parts
-        a = augment_feedback(plant, ctrl)
+        a = augment(plant, ctrl)
         # closing the loop shifts the plant poles by B2 Dc2 C = -2 I
         np.testing.assert_allclose(a.A[:2, :2], plant.A - 2 * np.eye(2))
         np.testing.assert_allclose(a.B[2:, :2], -np.sqrt(2) * np.eye(2))
@@ -105,13 +121,13 @@ class TestAugmentFeedback:
         splant, sctrl, _ = series_parts
         fplant, fctrl, _ = feedback_parts
         with pytest.raises(WrongTopology):
-            augment_feedback(splant, fctrl)
+            augment(splant, fctrl)
         with pytest.raises(WrongTopology):
-            augment_feedback(fplant, sctrl)
+            augment(fplant, sctrl)
 
     def test_preserves_doubled_structure(self, feedback_parts):
         plant, ctrl, _ = feedback_parts
-        a = augment_feedback(plant, ctrl)
+        a = augment(plant, ctrl)
         for m in (a.A, a.B, a.C, a.D):
             assert is_doubled(deinterleave(m))
 
@@ -119,35 +135,32 @@ class TestAugmentFeedback:
 class TestLiftUncertainty:
     def test_zero_coupling_controller(self, series_parts):
         plant, _, u = series_parts
-        ctrl = CoherentController(
-            A_c=-np.eye(2),
-            B_c1=np.zeros((2, 2)),
-            C_c=np.zeros((2, 2)),
-            D_c=np.zeros((2, 2)),
+        ctrl = series_controller(
+            -np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
         )
-        au = lift_uncertainty(u, ctrl)
+        au = lift_uncertainty(u, ctrl, plant)
         np.testing.assert_array_equal(au.H1[2:], np.zeros((2, 4)))
         np.testing.assert_array_equal(au.H3, np.zeros((2, 4)))
 
     def test_benchmark_lower_block(self, series_parts):
-        _, ctrl, u = series_parts
-        au = lift_uncertainty(u, ctrl)
+        plant, ctrl, u = series_parts
+        au = lift_uncertainty(u, ctrl, plant)
         # independent oracle: direct product of the controller input block
         # with the plant output factor
-        np.testing.assert_allclose(au.H1[2:], ctrl.B_c1 @ u.H3)
+        np.testing.assert_allclose(au.H1[2:], ctrl.B_c2 @ u.H3)
         assert au.H1[2, 0] == pytest.approx(0.8)
         assert au.H1[3, 1] == pytest.approx(0.8)
 
     def test_series_consistency_identity(self, series_parts):
         plant, ctrl, u = series_parts
-        au = lift_uncertainty(u, ctrl)
+        au = lift_uncertainty(u, ctrl, plant)
         for d in np.linspace(-1, 1, 11):
             t = evaluate_deltas(u, d)
             ta = evaluate_deltas(au, d)
             expected_dA = np.block(
                 [
                     [t.dA, np.zeros((2, 2))],
-                    [ctrl.B_c1 @ t.dC, np.zeros((2, 2))],
+                    [ctrl.B_c2 @ t.dC, np.zeros((2, 2))],
                 ]
             )
             np.testing.assert_allclose(ta.dA, expected_dA, atol=1e-12)
@@ -156,13 +169,13 @@ class TestLiftUncertainty:
             )
             np.testing.assert_allclose(
                 ta.dC,
-                np.hstack([ctrl.D_c @ t.dC, np.zeros((2, 2))]),
+                np.hstack([ctrl.Dt_c2 @ t.dC, np.zeros((2, 2))]),
                 atol=1e-12,
             )
 
     def test_feedback_consistency_identity(self, feedback_parts):
         plant, ctrl, u = feedback_parts
-        au = lift_uncertainty(u, ctrl, plant=plant)
+        au = lift_uncertainty(u, ctrl, plant)
         for d in (-1.0, -0.5, 0.0, 0.5, 1.0):
             t = evaluate_deltas(u, d)
             ta = evaluate_deltas(au, d)
@@ -172,12 +185,9 @@ class TestLiftUncertainty:
                     [ctrl.B_c2 @ t.dC, np.zeros((2, 2))],
                 ]
             )
-            expected_dB = np.block(
-                [
-                    [t.dB, np.zeros((2, 2))],
-                    [np.zeros((2, 4))],
-                ]
-            )
+            # dB acts on the plant disturbance block alone, the leading
+            # columns of the augmented input; G is not widened
+            expected_dB = np.vstack([t.dB, np.zeros((2, 2))])
             np.testing.assert_allclose(ta.dA, expected_dA, atol=1e-12)
             np.testing.assert_allclose(ta.dB, expected_dB, atol=1e-12)
             np.testing.assert_allclose(
@@ -186,7 +196,11 @@ class TestLiftUncertainty:
                 atol=1e-12,
             )
 
-    def test_feedback_lift_requires_plant(self, feedback_parts):
-        _, ctrl, u = feedback_parts
+    def test_feedback_lift_requires_plant(self, series_parts, feedback_parts):
+        # a plant whose ports match the controller's
+        splant, sctrl, _ = series_parts
+        fplant, fctrl, u = feedback_parts
         with pytest.raises(WrongTopology):
-            lift_uncertainty(u, ctrl)
+            lift_uncertainty(u, fctrl, splant)
+        with pytest.raises(WrongTopology):
+            lift_uncertainty(u, sctrl, fplant)

@@ -295,7 +295,7 @@ class TestAgainstSchurReference:
             plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
             ctrl = squeezer_controller(kappa2, kappa2, chi / 2, strict=True)
             channels = [(plant, u),
-                        (augment(plant, ctrl), lift_uncertainty(u, ctrl))]
+                        (augment(plant, ctrl), lift_uncertainty(u, ctrl, plant))]
         S = homodyne_matrix([np.deg2rad(theta)])
         cares = []
 

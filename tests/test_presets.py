@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -112,3 +115,27 @@ class TestStudyChannels:
             ref = series_study.closed_loop(name, -0.3)
             for m in ("A", "B", "C", "D"):
                 np.testing.assert_array_equal(getattr(loop, m), getattr(ref, m))
+
+
+def benchmark_spans():
+    """benchmarks/spans.py, loaded from its file (it is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkBindings:
+    def test_every_binding_resolves(self):
+        # the benchmark's tracer reads each binding from its owner's
+        # __dict__; a name missing there fails every traced run
+        spans = benchmark_spans()
+        assert spans.BINDINGS
+        missing = []
+        for owner_path, attr, _ in spans.BINDINGS:
+            importlib.import_module(owner_path.partition(":")[0])
+            bound = spans._resolve(owner_path).__dict__.get(attr)
+            if not callable(bound):
+                missing.append(f"{owner_path}.{attr}")
+        assert missing == []

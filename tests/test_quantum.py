@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qre.errors import NotPhysicallyRealizable, ShapeMismatch
+from qre.errors import DomainError, NotPhysicallyRealizable, ShapeMismatch
 from qre.quantum import (
+    CoherentController,
     DoubledOperator,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
@@ -93,6 +94,12 @@ class TestHomodyne:
             s = homodyne_matrix(rng.uniform(-np.pi, np.pi, size=m))
             np.testing.assert_allclose(s @ s.conj().T, np.eye(m), atol=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        for angles in (bad, [0.1, bad]):
+            with pytest.raises(DomainError, match="must be finite"):
+                homodyne_matrix(angles)
+
 
 class TestSqueezerPlant:
     def test_benchmark_values(self):
@@ -101,6 +108,10 @@ class TestSqueezerPlant:
         np.testing.assert_array_equal(p.B1, -2 * np.eye(2))
         np.testing.assert_array_equal(p.C, 2 * np.eye(2))
         np.testing.assert_array_equal(p.D1, np.eye(2))
+        # no control input: B2 has no columns
+        assert p.B2.shape == (2, 0)
+        np.testing.assert_array_equal(p.B, p.B1)
+        np.testing.assert_array_equal(p.D, p.D1)
         assert p.physically_realizable
 
     def test_output_input_product_anchor(self):
@@ -123,10 +134,14 @@ class TestSqueezerController:
     def test_benchmark_values(self):
         c = squeezer_controller(4.0, 4.0, -1.0)
         np.testing.assert_array_equal(c.A_c, [[-2, 1], [1, -2]])
-        np.testing.assert_array_equal(c.B_c1, -2 * np.eye(2))
-        np.testing.assert_array_equal(c.C_c, 2 * np.eye(2))
-        np.testing.assert_array_equal(c.D_c, np.eye(2))
-        assert not c.feedback_capable
+        np.testing.assert_array_equal(c.B_c2, -2 * np.eye(2))
+        np.testing.assert_array_equal(c.Ct_c, 2 * np.eye(2))
+        np.testing.assert_array_equal(c.Dt_c2, np.eye(2))
+        # no field input of its own and no control output: those ports
+        # have zero width
+        assert c.B_c1.shape == c.Dt_c1.shape == (2, 0)
+        assert c.C_c.shape == c.D_c2.shape == (0, 2)
+        assert c.D_c1.shape == (0, 0)
 
     def test_strict_realizability(self):
         with pytest.raises(NotPhysicallyRealizable):
@@ -174,7 +189,8 @@ class TestFeedbackSqueezerController:
         np.testing.assert_array_equal(c.Dt_c2, np.zeros((2, 2)))
         np.testing.assert_array_equal(c.D_c1, np.zeros((2, 2)))
         np.testing.assert_array_equal(c.D_c2, np.eye(2))
-        assert c.feedback_capable
+        # both ports two wide
+        assert c.B_c1.shape == c.C_c.shape == (2, 2)
 
     def test_strict_realizability(self):
         with pytest.raises(NotPhysicallyRealizable):
@@ -183,3 +199,37 @@ class TestFeedbackSqueezerController:
     def test_zero_nonlinearity(self):
         c = feedback_squeezer_controller(2.0, 1.0, 1.0, 0.0)
         np.testing.assert_array_equal(c.A_c, -np.eye(2))
+
+
+def controller_blocks(**overrides):
+    """The blocks of a conforming two-port controller with two states."""
+    blocks = {name: np.zeros((2, 2)) for name in (
+        "A_c", "B_c1", "B_c2", "Ct_c", "C_c", "Dt_c1", "Dt_c2", "D_c1", "D_c2"
+    )}
+    blocks["A_c"] = -np.eye(2)
+    return {**blocks, **overrides}
+
+
+class TestCoherentControllerShapes:
+    def test_conforming_blocks(self):
+        CoherentController(**controller_blocks())
+        # zero-width ports conform too
+        CoherentController(**controller_blocks(
+            B_c1=np.zeros((2, 0)), Dt_c1=np.zeros((2, 0)), D_c1=np.zeros((0, 0)),
+            C_c=np.zeros((0, 2)), D_c2=np.zeros((0, 2)),
+        ))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("A_c", (2, 3)),
+        ("B_c1", (3, 2)),
+        ("B_c2", (1, 2)),
+        ("Ct_c", (2, 3)),
+        ("C_c", (2, 1)),
+        ("Dt_c1", (2, 3)),
+        ("Dt_c2", (1, 2)),
+        ("D_c1", (3, 2)),
+        ("D_c2", (2, 4)),
+    ])
+    def test_rejects_nonconforming_block(self, name, shape):
+        with pytest.raises(ShapeMismatch, match=f"^{name} has shape"):
+            CoherentController(**controller_blocks(**{name: np.zeros(shape)}))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qre.analysis import StateSpace, hinf_norm
-from qre.augmentation import augment, augment_feedback, lift_uncertainty
+from qre.augmentation import augment, lift_uncertainty
 from qre import synthesis
 from qre.errors import CareFailure, QreError, ScalingTooLarge
 from qre.quantum import (
@@ -124,7 +124,7 @@ class TestAssembleAugmented:
         plant, u, S = series_parts
         ctrl = squeezer_controller(4.0, 4.0, -1.0)
         aug = augment(plant, ctrl)
-        au = lift_uncertainty(u, ctrl)
+        au = lift_uncertainty(u, ctrl, plant)
         pa = assemble(aug, au, S, 0.65, 0.19, 0.81)
         pc = assemble(plant, u, S, 0.65, 0.19, 0.81)
         np.testing.assert_allclose(
@@ -132,21 +132,21 @@ class TestAssembleAugmented:
             np.block(
                 [
                     [pc.Abar, np.zeros((2, 2))],
-                    [ctrl.B_c1 @ pc.C2bar, ctrl.A_c],
+                    [ctrl.B_c2 @ pc.C2bar, ctrl.A_c],
                 ]
             ),
             atol=1e-12,
         )
         np.testing.assert_allclose(
             pa.B1bar,
-            np.vstack([pc.B1bar, ctrl.B_c1 @ pc.D21bar]),
+            np.vstack([pc.B1bar, ctrl.B_c2 @ pc.D21bar]),
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            pa.D21bar, ctrl.D_c @ pc.D21bar, atol=1e-12
+            pa.D21bar, ctrl.Dt_c2 @ pc.D21bar, atol=1e-12
         )
         np.testing.assert_allclose(
-            pa.C2bar, np.hstack([ctrl.D_c @ pc.C2bar, ctrl.C_c]), atol=1e-12
+            pa.C2bar, np.hstack([ctrl.Dt_c2 @ pc.C2bar, ctrl.Ct_c]), atol=1e-12
         )
         np.testing.assert_allclose(
             pa.C1bar, np.hstack([pc.C1bar, np.zeros((7, 2))]), atol=1e-12
@@ -158,7 +158,7 @@ class TestAssembleAugmented:
         ctrl = squeezer_controller(4.0, 4.0, -1.0)
         pa = assemble(
             augment(plant, ctrl),
-            lift_uncertainty(u, ctrl),
+            lift_uncertainty(u, ctrl, plant),
             S,
             0.65,
             0.19,
@@ -291,12 +291,18 @@ class TestEpsGridSearch:
 
 
 def pass_through_controller():
-    """Zero-state series controller whose output is its input."""
+    """Zero-state series controller whose monitored output is its input:
+    no field input of its own and no control output."""
     return CoherentController(
         A_c=np.zeros((0, 0)),
-        B_c1=np.zeros((0, 2)),
-        C_c=np.zeros((2, 0)),
-        D_c=np.eye(2),
+        B_c1=np.zeros((0, 0)),
+        B_c2=np.zeros((0, 2)),
+        Ct_c=np.zeros((2, 0)),
+        C_c=np.zeros((0, 0)),
+        Dt_c1=np.zeros((2, 0)),
+        Dt_c2=np.eye(2),
+        D_c1=np.zeros((0, 0)),
+        D_c2=np.zeros((0, 2)),
     )
 
 
@@ -313,7 +319,6 @@ def pass_through_feedback_controller():
         Dt_c2=np.eye(2),
         D_c1=np.eye(2),
         D_c2=np.zeros((2, 2)),
-        feedback_capable=True,
     )
 
 
@@ -361,7 +366,7 @@ class TestClassicalIsDegenerateCoherent:
         assert_same_problem(
             assemble_or_error(plant, u, S, scaling),
             assemble_or_error(
-                augment(plant, ctrl), lift_uncertainty(u, ctrl), S, scaling
+                augment(plant, ctrl), lift_uncertainty(u, ctrl, plant), S, scaling
             ),
         )
 
@@ -378,11 +383,38 @@ class TestClassicalIsDegenerateCoherent:
         assert_same_problem(
             assemble_or_error(plant, u, S, scaling),
             assemble_or_error(
-                augment_feedback(plant, ctrl),
-                lift_uncertainty(u, ctrl, plant=plant),
+                augment(plant, ctrl),
+                lift_uncertainty(u, ctrl, plant),
                 S,
                 scaling,
             ),
+        )
+
+
+class TestSeriesIsZeroPortFeedback:
+    """The series topology is the coherent-feedback formula with zero-width
+    ports: on realizable squeezers it gives the series block formula's
+    augmented system, lifted model and scaled problem entry for entry (a
+    zero's sign may differ), or the same assembly error."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kappa=positive, kappa_c=positive, chi=squeezing, chi_c=squeezing,
+           L=estimand, mu=uncertainty, theta=angle, scaling=scaling)
+    def test_realizable_squeezers(self, kappa, kappa_c, chi, chi_c, L, mu,
+                                  theta, scaling):
+        plant = squeezer_plant(kappa, kappa, chi, L, strict=True)
+        ctrl = squeezer_controller(kappa_c, kappa_c, chi_c, strict=True)
+        u = squeezer_uncertainty(np.sqrt(kappa), mu)
+        S = homodyne_matrix([np.deg2rad(theta)])
+        got = augment(plant, ctrl), lift_uncertainty(u, ctrl, plant)
+        want = reference.series_augment(plant, ctrl), reference.series_lift(u, ctrl)
+        for a, b, names in zip(got, want, ("ABCDL", ("H1", "H2", "H3", "E", "G"))):
+            for name in names:
+                np.testing.assert_array_equal(
+                    getattr(a, name), getattr(b, name), err_msg=name, strict=True
+                )
+        assert_same_problem(
+            assemble_or_error(*got, S, scaling), assemble_or_error(*want, S, scaling)
         )
 
 
@@ -468,13 +500,14 @@ class TestStackedSynthesis:
                 )
                 ctrl = pass_through_feedback_controller()
                 channels = [(plant, u),
-                            (augment_feedback(plant, ctrl),
-                             lift_uncertainty(u, ctrl, plant=plant))]
+                            (augment(plant, ctrl),
+                             lift_uncertainty(u, ctrl, plant))]
             else:
                 plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
                 ctrl = squeezer_controller(kappa2, kappa2, chi / 2, strict=True)
                 channels = [(plant, u),
-                            (augment(plant, ctrl), lift_uncertainty(u, ctrl))]
+                            (augment(plant, ctrl),
+                             lift_uncertainty(u, ctrl, plant))]
             for stack, (system, channel_u) in zip(stacks, channels):
                 stack += grid_problems(
                     lambda e1, e2: assemble(system, channel_u, S, gamma, e1, e2),
