@@ -148,6 +148,9 @@ class QuantumPlant:
             raise ShapeMismatch("A must be square and conform with B1 and B2")
         if self.C.shape[1] != n2 or self.L.shape[1] != n2:
             raise ShapeMismatch("C and L must have a column per state")
+        want = (self.C.shape[0], self.B1.shape[1])
+        if self.D1.shape != want:
+            raise ShapeMismatch(f"D1 has shape {self.D1.shape}, expected {want}")
 
     @property
     def B(self):

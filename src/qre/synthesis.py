@@ -4,12 +4,14 @@
 a system with fields A, B, C, D, L (the plant for the classical filter, the
 plant/controller augmented system for the coherent-classical one), its
 uncertainty model and the homodyne map.  ``synthesize`` solves the two
-algebraic Riccati equations and builds the estimator matrices.
+algebraic Riccati equations and builds the estimator.
 
-The synthesis works on a stack of K problems of one shape, each Riccati
-equation being one stacked solve (``linalg``): ``eps_grid_search``
-synthesizes its grid as one such stack, and ``synthesize`` is its K = 1
-case.  A problem that fails a gate carries its own error out of the stack.
+Both work on stacks of problems of one shape: ``assemble`` given arrays of
+eps1 and eps2 builds their problems as one ``ScaledProblem`` stack, with
+one eigen-solve per distinct eps2, as ``eps_grid_search`` asks for each
+block of its grid, and each Riccati equation of a stack is one stacked
+solve (``linalg``).  A point that fails a gate carries its own error out of
+either stack.  Scalar eps1, eps2 and ``synthesize`` are the K = 1 case.
 
 Two gain conventions are supported for the measurement-injection gain B_K.
 The "reproduction" convention uses a gamma^-2 prefactor on the coupling term
@@ -19,8 +21,7 @@ underlying central-estimator formula and yields a stable filter meeting the
 nominal attenuation bound.  Both solve identical Riccati equations.
 """
 
-from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     CouplingSingular,
     QreError,
     ScalingTooLarge,
+    ShapeMismatch,
     SingularE2,
     UnstableEstimator,
 )
@@ -39,7 +41,6 @@ from .linalg import (
     _residual,
     _solve_cares,
     as_cmatrix,
-    hermitian_inv_sqrt,
     solve_care,  # noqa: F401 (the benchmark's span tracer wraps this binding)
 )
 
@@ -54,11 +55,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScaledProblem:
-    """The scaled H-infinity estimation data.
+    """The scaled H-infinity estimation data of one problem, or of a stack.
 
     Abar/C2bar/Sbar are the state, measurement and homodyne maps; B1bar,
     C1bar, D12bar, D21bar the scaled disturbance/penalty maps; E1bar and
     E2bar the control- and measurement-weighting Gramians.
+
+    In a stack of K problems gamma, eps1 and eps2 are (K,) arrays and each
+    matrix a (K, p, q) stack, or one (p, q) matrix shared by all K.
+    ``failures`` maps the position of each point ``assemble`` was given
+    that failed a gate to its error.
     """
 
     Abar: np.ndarray
@@ -73,15 +79,11 @@ class ScaledProblem:
     gamma: float
     eps1: float
     eps2: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.type is np.ndarray:
-                object.__setattr__(self, f.name, as_cmatrix(getattr(self, f.name)))
+    failures: dict = field(default_factory=dict)
 
     @property
     def n(self):
-        return self.Abar.shape[0]
+        return self.Abar.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -105,18 +107,6 @@ class Estimator:
     params: dict = field(default_factory=dict)
 
 
-def _scaling_inv_sqrt(G, eps2):
-    """(I - eps2^2 G^dag G)^(-1/2), failing when the scaling saturates."""
-    G = as_cmatrix(G)
-    M = np.eye(G.shape[1]) - eps2**2 * G.conj().T @ G
-    w = np.linalg.eigvalsh((M + M.conj().T) / 2)
-    if w[0] <= 1e-12 * max(w[-1], 1.0):
-        raise ScalingTooLarge(
-            f"I - eps2^2 G^dag G has minimum eigenvalue {w[0]:.3e}"
-        )
-    return hermitian_inv_sqrt(M)
-
-
 def assemble(system, u, S, gamma, eps1, eps2):
     """Scaled problem for a filter on the homodyne measurement of a channel.
 
@@ -125,51 +115,111 @@ def assemble(system, u, S, gamma, eps1, eps2):
     scaling (I - eps2^2 G^dag G)^(-1/2) acts on all columns of B and D; the
     uncertain block drives the leading inputs, so a G narrower than B gets
     zero columns for the rest (a plant's control input, a controller's field).
+
+    eps1 and eps2 are scalars, or equal-length 1-D arrays of points.  The
+    gates run per point, in order: gamma, eps1, eps2 positive and finite
+    (QreError), the scaling not saturated (ScalingTooLarge), E2bar
+    nonsingular (SingularE2).  Arrays give the ScaledProblem stack of the
+    points that pass, with the others' errors in its ``failures``; scalars
+    give the one problem, or raise its error.  S or an uncertainty factor
+    that does not conform with the system raises ShapeMismatch first.
     """
-    if not all(np.isfinite(x) and x > 0 for x in (gamma, eps1, eps2)):
-        raise QreError("gamma, eps1, eps2 must all be positive and finite")
-    A, B, C, D, L = system.A, system.B, system.C, system.D, system.L
-    H1, H2, H3, E, G = u.H1, u.H2, u.H3, u.E, u.G
+    A, B, C, D, L = (
+        np.asarray(m, dtype=complex)
+        for m in (system.A, system.B, system.C, system.D, system.L)
+    )
     S = as_cmatrix(S)
-    if G.shape[1] < B.shape[1]:
-        G = np.hstack([G, np.zeros((G.shape[0], B.shape[1] - G.shape[1]))])
-    Mis = _scaling_inv_sqrt(G, eps2)
-    r2p = G.shape[0]
-    B1bar = np.hstack([B @ Mis, gamma / eps1 * H1, gamma / eps2 * H2])
-    C1bar = np.vstack([eps1 * E, np.zeros((r2p, A.shape[0])), L])
-    D12bar = np.vstack(
-        [
-            np.zeros((E.shape[0], L.shape[0])),
-            np.zeros((r2p, L.shape[0])),
-            -np.eye(L.shape[0]),
-        ]
+    H1, H2, H3, E, G = u.H1, u.H2, u.H3, u.E, u.G
+    n, p, m = A.shape[0], C.shape[0], B.shape[1]
+    for name, block, conforms in (
+        ("S", S, S.shape[1] == p), ("H1", H1, H1.shape[0] == n),
+        ("H2", H2, H2.shape[0] == n), ("H3", H3, H3.shape[0] == p),
+        ("E", E, E.shape[1] == n), ("G", G, G.shape[1] <= m),
+    ):
+        if not conforms:
+            raise ShapeMismatch(
+                f"{name} has shape {block.shape}; the system has {n} states, "
+                f"{p} outputs and {m} inputs"
+            )
+    if G.shape[1] < m:
+        G = np.hstack([G, np.zeros((G.shape[0], m - G.shape[1]))])
+
+    e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
+    one_point = e1.ndim == e2.ndim == 0
+    e1, e2 = np.atleast_1d(e1, e2)
+    failures, live = {}, np.arange(e1.size)
+
+    def failed(ok, error):
+        """Give each point not ``ok`` its error(j); True if there was one."""
+        if ok.all():
+            return False
+        for j in np.flatnonzero(~ok):
+            failures[int(live[j])] = error(j)
+        return True
+
+    ok = np.isfinite(e1) & (e1 > 0) & np.isfinite(e2) & (e2 > 0)
+    ok &= bool(np.isfinite(gamma) and gamma > 0)
+    if failed(ok, lambda j: QreError(
+        "gamma, eps1, eps2 must all be positive and finite"
+    )):
+        live, e1, e2 = live[ok], e1[ok], e2[ok]
+
+    # I - eps2^2 G^dag G and its inverse root from one eigh per distinct
+    # eps2, numbered in ``slot``; float_power is C pow, as a float's ** is,
+    # so each point's matrices are the one-point formula's to the bit
+    slot = {}
+    at = np.array([slot.setdefault(x, len(slot)) for x in e2.tolist()], dtype=int)
+    w, v = np.linalg.eigh(
+        np.eye(m) - np.float_power(list(slot), 2)[:, None, None] * _conj_t(G) @ G
     )
-    D21bar = np.hstack(
-        [D @ Mis, gamma / eps1 * H3, np.zeros((D.shape[0], H2.shape[1]))]
+    unsaturated = ~(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
+    ok = unsaturated[at]
+    if failed(ok, lambda j: ScalingTooLarge(
+        f"I - eps2^2 G^dag G has minimum eigenvalue {w[at[j], 0]:.3e}"
+    )):
+        live, e1, e2, at = live[ok], e1[ok], e2[ok], at[ok]
+    # no point reads the root of a saturated eps2: 1 keeps it finite
+    Mis = (v / np.sqrt(np.where(unsaturated[:, None], w, 1.0))[:, None, :]) @ _conj_t(v)
+    Mis = (Mis + _conj_t(Mis)) / 2
+
+    c1 = np.float_power(gamma / e1, 2)[:, None, None]
+    E2bar = (S @ D @ (Mis @ Mis) @ _conj_t(D) @ _conj_t(S))[at] + (
+        c1 * S @ H3 @ _conj_t(H3) @ _conj_t(S)
     )
-    E1bar = D12bar.conj().T @ D12bar
-    Minv = Mis @ Mis
-    E2bar = (
-        S @ D @ Minv @ D.conj().T @ S.conj().T
-        + (gamma / eps1) ** 2 * S @ H3 @ H3.conj().T @ S.conj().T
-    )
-    E2bar = (E2bar + E2bar.conj().T) / 2
+    E2bar = (E2bar + _conj_t(E2bar)) / 2
     w = np.linalg.eigvalsh(E2bar)
-    if w[0] <= 1e-12 * max(w[-1], 1.0):
-        raise SingularE2(f"measurement weighting has eigenvalue {w[0]:.3e}")
+    ok = ~(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
+    if failed(ok, lambda j: SingularE2(
+        f"measurement weighting has eigenvalue {w[j, 0]:.3e}"
+    )):
+        e1, e2, at, E2bar = e1[ok], e2[ok], at[ok], E2bar[ok]
+
+    k, r2p, l = e1.size, G.shape[0], L.shape[0]
+    g1, g2 = (gamma / e[:, None, None] for e in (e1, e2))
+    D12bar = np.vstack([np.zeros((E.shape[0] + r2p, l)), -np.eye(l)])
+    point = dict(
+        B1bar=np.concatenate([(B @ Mis)[at], g1 * H1, g2 * H2], axis=-1),
+        C1bar=np.concatenate([e1[:, None, None] * E, np.zeros((k, r2p, n)),
+                              np.repeat(L[None], k, axis=0)], axis=-2),
+        D21bar=np.concatenate([(D @ Mis)[at], g1 * H3,
+                               np.zeros((k, D.shape[0], H2.shape[1]))], axis=-1),
+        E2bar=E2bar,
+    )
+    if not all(np.isfinite(x).all() for x in point.values()):
+        raise ValueError("matrix contains NaN or Inf entries")
+    point.update(gamma=np.full(k, float(gamma)), eps1=e1, eps2=e2)
+    if one_point:
+        if failures:
+            raise failures.pop(0)
+        point = {key: x[0] if x.ndim == 3 else float(x[0]) for key, x in point.items()}
     return ScaledProblem(
         Abar=A,
         C2bar=C,
         Sbar=S,
-        B1bar=B1bar,
-        C1bar=C1bar,
-        D12bar=D12bar,
-        D21bar=D21bar,
-        E1bar=E1bar,
-        E2bar=E2bar,
-        gamma=float(gamma),
-        eps1=float(eps1),
-        eps2=float(eps2),
+        D12bar=np.asarray(D12bar, dtype=complex),
+        E1bar=np.asarray(D12bar.T @ D12bar, dtype=complex),
+        failures=failures,
+        **point,
     )
 
 
@@ -188,6 +238,11 @@ def _solve(a, b):
     return np.linalg.solve(a, b[None] if b.ndim < a.ndim else b)
 
 
+def _gamma(p):
+    """gamma, per problem of a stack, shaped to broadcast against matrices."""
+    return np.asarray(p.gamma)[..., None, None]
+
+
 def riccati_residual_x(p, X):
     """Relative residual of the state Riccati equation
     Abar^dag X + X Abar + X (gamma^-2 B1bar B1bar^dag) X
@@ -196,7 +251,7 @@ def riccati_residual_x(p, X):
     ``p`` may also be a stack of problems, as synthesized over a grid, and
     X the stack of their solutions; the residuals are then an array."""
     P = np.eye(p.C1bar.shape[-2]) - p.D12bar @ _solve(p.E1bar, _conj_t(p.D12bar))
-    R = p.B1bar @ _conj_t(p.B1bar) / p.gamma**2
+    R = p.B1bar @ _conj_t(p.B1bar) / _gamma(p) ** 2
     return _residual(p.Abar, R, _conj_t(p.C1bar) @ P @ p.C1bar, X)
 
 
@@ -207,7 +262,7 @@ def riccati_residual_y(p, Y):
       Sbar (gamma^-1 B1bar D21bar^dag + gamma Y C2bar^dag)^dag = 0.
 
     Takes stacks as ``riccati_residual_x`` does."""
-    g = p.gamma
+    g = _gamma(p)
     T = p.B1bar @ _conj_t(p.D21bar) / g + g * Y @ _conj_t(p.C2bar)
     W = _conj_t(p.Sbar) @ _solve(p.E2bar, p.Sbar)
     const = p.B1bar @ _conj_t(p.B1bar) / g**2
@@ -222,32 +277,35 @@ def riccati_residual_y(p, Y):
 
 
 def _stack(problems):
-    """The problems' matrices as (K, ...) stacks, with a matrix that is the
-    same in every problem kept as one matrix, which broadcasts against the
-    stacks, and gamma as a (K, 1, 1) stack."""
-    s = SimpleNamespace(gamma=np.array([p.gamma for p in problems])[:, None, None])
+    """The points of ``problems``, each a problem or a stack, as one stack.
+    A matrix that is the same object in all of them stays one matrix; the
+    stack carries no failures."""
+    k = [np.size(p.gamma) for p in problems]
+    joined = {}
     for f in fields(ScaledProblem):
-        if f.type is np.ndarray:
-            ms = [getattr(p, f.name) for p in problems]
-            m = ms[0]
-            if any(x is not m for x in ms):
-                stack = np.stack(ms)
-                if not (stack == m).all():
-                    m = stack
-            setattr(s, f.name, m)
-    return s
+        ms = [getattr(p, f.name) for p in problems]
+        if f.type is float:
+            joined[f.name] = np.concatenate([np.atleast_1d(x) for x in ms])
+        elif f.type is np.ndarray:
+            joined[f.name] = ms[0] if all(x is ms[0] for x in ms) else np.concatenate(
+                [np.broadcast_to(x, (kp,) + x.shape[-2:]) for x, kp in zip(ms, k)]
+            )
+    return ScaledProblem(**joined)
 
 
-def _take(s, ok):
-    """The stack ``s`` restricted to the problems flagged in ``ok``."""
-    return SimpleNamespace(
-        **{k: v[ok] if v.ndim == 3 else v for k, v in vars(s).items()}
-    )
+def _take(s, index):
+    """The problems of the stack ``s`` at ``index``, a mask or positions,
+    with no failures; the matrices shared by all of them stay shared."""
+    return replace(s, failures={}, **{
+        f.name: getattr(s, f.name)[index] for f in fields(s)
+        if np.ndim(getattr(s, f.name)) in (1, 3)
+    })
 
 
-def _synthesize(problems, gain_convention="reproduction", require_stable=False):
-    """Estimators of problems of one shape, synthesized as one stack: per
-    problem, the Estimator ``synthesize`` returns or the error it raises.
+def _synthesize(s, gain_convention="reproduction", require_stable=False):
+    """Estimators of the K problems of the stack ``s``, synthesized as one
+    stack: per problem, the Estimator ``synthesize`` returns or the error it
+    raises.
 
     Each Riccati equation is one stacked solve; the output-injection
     equation is solved only where the state equation was, and the estimator
@@ -255,11 +313,10 @@ def _synthesize(problems, gain_convention="reproduction", require_stable=False):
     """
     if gain_convention not in ("reproduction", "theorem"):
         raise QreError(f"unknown gain convention {gain_convention!r}")
-    if not problems:
-        return []
-    out = [None] * len(problems)
-    rows = np.arange(len(problems))
-    s = _stack(problems)
+    out = [None] * len(s.gamma)
+    if not out:
+        return out
+    rows = np.arange(len(out))
     sols = {"X": {}, "Y": {}}
 
     def solve(which, A, R, Q):
@@ -283,7 +340,7 @@ def _synthesize(problems, gain_convention="reproduction", require_stable=False):
     solve(
         "X",
         s.Abar,
-        s.B1bar @ _conj_t(s.B1bar) / s.gamma**2,
+        s.B1bar @ _conj_t(s.B1bar) / _gamma(s) ** 2,
         _conj_t(s.C1bar) @ P @ s.C1bar,
     )
     if not rows.size:
@@ -296,7 +353,7 @@ def _synthesize(problems, gain_convention="reproduction", require_stable=False):
     #   Qp = gamma^-2 B1 (I - D21^dag M D21) B1^dag,
     # the equation reads Ap Y + Y Ap^dag + Y Rp Y + Qp = 0, i.e. the
     # canonical form with state matrix Ap^dag.
-    B1, C1, C2, D21, g2 = s.B1bar, s.C1bar, s.C2bar, s.D21bar, s.gamma**2
+    B1, C1, C2, D21, g2 = s.B1bar, s.C1bar, s.C2bar, s.D21bar, _gamma(s) ** 2
     M = _conj_t(s.Sbar) @ _solve(s.E2bar, s.Sbar)
     Ap = s.Abar - B1 @ _conj_t(D21) @ M @ C2
     Rp = _conj_t(C1) @ C1 - g2 * _conj_t(C2) @ M @ C2
@@ -316,7 +373,7 @@ def _synthesize(problems, gain_convention="reproduction", require_stable=False):
             rows[ok], _take(s, ok), X[ok], Y[ok], coupling[ok], cond[ok]
         )
 
-    B1, C2, D21, S, g2 = s.B1bar, s.C2bar, s.D21bar, s.Sbar, s.gamma**2
+    B1, C2, D21, S, g2 = s.B1bar, s.C2bar, s.D21bar, s.Sbar, _gamma(s) ** 2
     prefactor = 1 / g2 if gain_convention == "reproduction" else g2
     BK = prefactor * _solve(coupling, (
         Y @ _conj_t(C2) @ _conj_t(S) + B1 @ _conj_t(D21) @ _conj_t(S) / g2
@@ -331,16 +388,15 @@ def _synthesize(problems, gain_convention="reproduction", require_stable=False):
                 f"estimator spectral abscissa {abscissa[j]:.4f} is not negative"
             )
             continue
-        p = problems[r]
         out[r] = Estimator(
             A_K=AK[j],
             B_K=BK[j],
             C_K=CK[j] if CK.ndim == 3 else CK,
             X=sols["X"][r],
             Y=sols["Y"][r],
-            gamma=p.gamma,
-            eps1=p.eps1,
-            eps2=p.eps2,
+            gamma=float(s.gamma[j]),
+            eps1=float(s.eps1[j]),
+            eps2=float(s.eps2[j]),
             spectral_abscissa=float(abscissa[j]),
             stable=bool(abscissa[j] < 0),
             coupling_condition=float(cond[j]),
@@ -360,53 +416,45 @@ def synthesize(p, gain_convention="reproduction", require_stable=False):
     attenuation below gamma).  This is the one-problem case of the stacked
     synthesis that ``eps_grid_search`` runs over its grid.
     """
-    (est,) = _synthesize([p], gain_convention, require_stable)
+    (est,) = _synthesize(_stack([p]), gain_convention, require_stable)
     if isinstance(est, Exception):
         raise est
     return est
 
 
-def _grid_estimators(assemble, grid, **kwargs):
-    """(eps1, eps2, Estimator) at each (eps1, eps2) of the grid, in order,
-    where assembly and synthesis succeed.  Each block of GRID_BLOCK points
-    is synthesized as one stack; an error that is no QreError is raised."""
-    for start in range(0, len(grid), GRID_BLOCK):
-        points, problems = [], []
-        for e1, e2 in grid[start : start + GRID_BLOCK]:
-            try:
-                problems.append(assemble(e1, e2))
-            except QreError:
-                continue
-            points.append((e1, e2))
-        for (e1, e2), est in zip(points, _synthesize(problems, **kwargs)):
-            if not isinstance(est, Exception):
-                yield e1, e2, est
-            elif not isinstance(est, QreError):
-                raise est
-
-
 def eps_grid_search(assemble, objective, eps1_grid=None, eps2_grid=None, **kwargs):
     """Coarse search over the scaling parameters.
 
-    assemble(eps1, eps2) must return a ScaledProblem; objective(Estimator)
-    a scalar to minimize.  Returns (eps1, eps2, value, estimator) for the
-    best feasible point, the first in row-major order among equals; grid
-    points where assembly or synthesis fails, or where the objective is not
-    finite, are skipped.  The assembled points are synthesized as a stack.
+    assemble(eps1, eps2) is called once per block of GRID_BLOCK grid points
+    in row-major order, with equal-length 1-D float arrays, and returns
+    their stack as ``assemble`` given arrays does; each stack is synthesized
+    as one.  objective(Estimator) is a scalar to minimize.  Returns (eps1,
+    eps2, value, estimator) at the best feasible point, the first in
+    row-major order among equals.  Points that fail a gate, or whose
+    objective is not finite, are skipped; an error that an assemble call
+    raises, or that is no QreError, propagates.
     """
     if eps1_grid is None:
         eps1_grid = np.logspace(-2, 0, 9)
     if eps2_grid is None:
         eps2_grid = np.logspace(-2, 0, 9)
-    grid = [(float(e1), float(e2)) for e1 in eps1_grid for e2 in eps2_grid]
+    e1, e2 = np.array(
+        [(a, b) for a in eps1_grid for b in eps2_grid], dtype=float
+    ).reshape(-1, 2).T
     best = None
-    for e1, e2, est in _grid_estimators(assemble, grid, **kwargs):
-        try:
-            val = float(objective(est))
-        except QreError:
-            continue
-        if np.isfinite(val) and (best is None or val < best[2]):
-            best = (e1, e2, val, est)
+    for start in range(0, e1.size, GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        for est in _synthesize(assemble(e1[block], e2[block]), **kwargs):
+            if isinstance(est, QreError):
+                continue
+            if isinstance(est, Exception):
+                raise est
+            try:
+                val = float(objective(est))
+            except QreError:
+                continue
+            if np.isfinite(val) and (best is None or val < best[2]):
+                best = (est.eps1, est.eps2, val, est)
     if best is None:
         raise QreError("no feasible scaling point on the grid")
     return best

@@ -5,6 +5,11 @@ time, as qre solved them before the Riccati solver and the synthesis ran on
 stacks.  The stacked kernels must give the same outcome class and, where
 they solve, equal matrices and diagnostics.
 
+Per-point bodies of the stacked assembly and of the grid search: one
+scaled problem at a time, as qre assembled them before ``assemble`` built a
+block of (eps1, eps2) points as one stack, and the search over the points
+of a grid in turn.
+
 The series interconnection's own block formula, as qre built the series
 topology before it became the zero-port case of the coherent-feedback
 formula.  ``augment`` and ``lift_uncertainty`` must give the same matrices,
@@ -20,6 +25,8 @@ from qre.errors import (
     ImaginaryAxisEigenvalue,
     QreError,
     ResidualTooLarge,
+    ScalingTooLarge,
+    SingularE2,
     SingularU1,
     UnstableEstimator,
     UnstableSystem,
@@ -29,9 +36,11 @@ from qre.linalg import (
     IMAG_AXIS_GAP,
     CareInstance,
     CareSolution,
+    as_cmatrix,
+    hermitian_inv_sqrt,
 )
 from qre.augmentation import AugmentedSystem
-from qre.synthesis import Estimator
+from qre.synthesis import Estimator, ScaledProblem
 
 
 def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
@@ -179,6 +188,81 @@ def synthesize(p, gain_convention="reproduction", require_stable=False):
         residual_y=res_y,
         gain_convention=gain_convention,
     )
+
+
+def scaling_inv_sqrt(G, eps2):
+    """(I - eps2^2 G^dag G)^(-1/2), failing when the scaling saturates."""
+    G = as_cmatrix(G)
+    M = np.eye(G.shape[1]) - eps2**2 * G.conj().T @ G
+    w = np.linalg.eigvalsh((M + M.conj().T) / 2)
+    if w[0] <= 1e-12 * max(w[-1], 1.0):
+        raise ScalingTooLarge(
+            f"I - eps2^2 G^dag G has minimum eigenvalue {w[0]:.3e}"
+        )
+    return hermitian_inv_sqrt(M)
+
+
+def assemble(system, u, S, gamma, eps1, eps2):
+    if not all(np.isfinite(x) and x > 0 for x in (gamma, eps1, eps2)):
+        raise QreError("gamma, eps1, eps2 must all be positive and finite")
+    A, B, C, D, L = system.A, system.B, system.C, system.D, system.L
+    H1, H2, H3, E, G = u.H1, u.H2, u.H3, u.E, u.G
+    S = as_cmatrix(S)
+    if G.shape[1] < B.shape[1]:
+        G = np.hstack([G, np.zeros((G.shape[0], B.shape[1] - G.shape[1]))])
+    Mis = scaling_inv_sqrt(G, eps2)
+    r2p = G.shape[0]
+    B1bar = np.hstack([B @ Mis, gamma / eps1 * H1, gamma / eps2 * H2])
+    C1bar = np.vstack([eps1 * E, np.zeros((r2p, A.shape[0])), L])
+    D12bar = np.vstack(
+        [
+            np.zeros((E.shape[0], L.shape[0])),
+            np.zeros((r2p, L.shape[0])),
+            -np.eye(L.shape[0]),
+        ]
+    )
+    D21bar = np.hstack(
+        [D @ Mis, gamma / eps1 * H3, np.zeros((D.shape[0], H2.shape[1]))]
+    )
+    E1bar = D12bar.conj().T @ D12bar
+    Minv = Mis @ Mis
+    E2bar = (
+        S @ D @ Minv @ D.conj().T @ S.conj().T
+        + (gamma / eps1) ** 2 * S @ H3 @ H3.conj().T @ S.conj().T
+    )
+    E2bar = (E2bar + E2bar.conj().T) / 2
+    w = np.linalg.eigvalsh(E2bar)
+    if w[0] <= 1e-12 * max(w[-1], 1.0):
+        raise SingularE2(f"measurement weighting has eigenvalue {w[0]:.3e}")
+    matrices = dict(
+        Abar=A, C2bar=C, Sbar=S, B1bar=B1bar, C1bar=C1bar, D12bar=D12bar,
+        D21bar=D21bar, E1bar=E1bar, E2bar=E2bar,
+    )
+    return ScaledProblem(
+        **{name: as_cmatrix(m) for name, m in matrices.items()},
+        gamma=float(gamma),
+        eps1=float(eps1),
+        eps2=float(eps2),
+    )
+
+
+def eps_grid_search(assemble_at, objective, eps1_grid, eps2_grid, **kwargs):
+    """The grid search one point at a time, in row-major order:
+    assemble_at(eps1, eps2) returns a problem or raises, and each problem is
+    synthesized alone."""
+    best = None
+    for e1 in eps1_grid:
+        for e2 in eps2_grid:
+            try:
+                est = synthesize(assemble_at(float(e1), float(e2)), **kwargs)
+                val = float(objective(est))
+            except QreError:
+                continue
+            if np.isfinite(val) and (best is None or val < best[2]):
+                best = (float(e1), float(e2), val, est)
+    if best is None:
+        raise QreError("no feasible scaling point on the grid")
+    return best
 
 
 def outcome(solver, *args, **kwargs):

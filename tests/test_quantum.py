@@ -5,6 +5,7 @@ from qre.errors import DomainError, NotPhysicallyRealizable, ShapeMismatch
 from qre.quantum import (
     CoherentController,
     DoubledOperator,
+    QuantumPlant,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
     homodyne_matrix,
@@ -122,6 +123,14 @@ class TestSqueezerPlant:
         with pytest.raises(NotPhysicallyRealizable):
             squeezer_plant(4.0, 2.0, 0.5, [0.1, -0.1], strict=True)
         assert not squeezer_plant(4.0, 2.0, 0.5, [0.1, -0.1]).physically_realizable
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 1)])
+    def test_rejects_feedthrough_not_conforming(self, shape):
+        # D1 maps the disturbance inputs (columns of B1) to the outputs
+        # (rows of C)
+        with pytest.raises(ShapeMismatch, match=r"^D1 has shape .*expected \(2, 2\)"):
+            QuantumPlant(A=-np.eye(2), B1=np.eye(2), B2=np.zeros((2, 0)),
+                         C=np.eye(2), D1=np.zeros(shape), L=[[1, 0]])
 
     def test_zero_nonlinearity_decouples(self):
         p = squeezer_plant(2.0, 2.0, 0.0, [1.0, 0.0])

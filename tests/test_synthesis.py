@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import reference
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 from qre.analysis import StateSpace, hinf_norm
 from qre.augmentation import augment, lift_uncertainty
 from qre import synthesis
-from qre.errors import CareFailure, QreError, ScalingTooLarge
+from qre.errors import CareFailure, QreError, ScalingTooLarge, ShapeMismatch
 from qre.quantum import (
     CoherentController,
     deinterleave,
+    feedback_squeezer_controller,
     feedback_squeezer_plant,
     homodyne_matrix,
     is_doubled,
@@ -443,7 +446,7 @@ def grid_problems(assemble_at, eps1_grid, eps2_grid):
 def assert_stack_matches_reference(problems, **kwargs):
     """Each outcome of the stacked synthesis equals the per-problem
     reference's; returns the outcome class names."""
-    got = synthesis._synthesize(problems, **kwargs)
+    got = problems and synthesis._synthesize(synthesis._stack(problems), **kwargs)
     assert len(got) == len(problems)
     for p, est in zip(problems, got):
         reference.assert_same_outcome(est, reference.outcome(
@@ -518,7 +521,185 @@ class TestStackedSynthesis:
                 problems, gain_convention=convention, require_stable=require_stable
             )
 
-    def test_empty_stack(self):
-        assert synthesis._synthesize([]) == []
+    def test_empty_stack(self, series_parts):
+        # a block whose every point failed a gate of assembly
+        empty = assemble(*series_parts, 0.65, [np.nan, 0.19], [0.5, 1.0])
+        assert len(empty.gamma) == 0
+        assert synthesis._synthesize(empty) == []
         with pytest.raises(QreError, match="unknown gain convention"):
-            synthesis._synthesize([], gain_convention="other")
+            synthesis._synthesize(empty, gain_convention="other")
+
+
+def assert_assembly_matches_reference(system, u, S, gamma, eps1, eps2):
+    """Each point of the stacked assembly of the points (eps1, eps2) has the
+    per-point reference's outcome: its error, or every ScaledProblem field
+    equal.  So has the one-point call at each point.  Returns the outcome
+    class names."""
+    eps1, eps2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
+    s = assemble(system, u, S, gamma, eps1, eps2)
+    assembled = iter(range(len(s.gamma)))
+    classes = []
+    for j, (e1, e2) in enumerate(zip(eps1.tolist(), eps2.tolist())):
+        want = reference.outcome(reference.assemble, system, u, S, gamma, e1, e2)
+        got = s.failures[j] if j in s.failures else synthesis._take(s, next(assembled))
+        reference.assert_same_outcome(got, want)
+        reference.assert_same_outcome(
+            reference.outcome(assemble, system, u, S, gamma, e1, e2), want
+        )
+        classes.append(type(want).__name__)
+    assert next(assembled, None) is None
+    return classes
+
+
+def row_major(eps1_grid, eps2_grid):
+    return [g.ravel() for g in np.meshgrid(eps1_grid, eps2_grid, indexing="ij")]
+
+
+class TestStackedAssembly:
+    """A block of (eps1, eps2) points assembled as one stack against the
+    per-point reference: at every point the same error class and message,
+    or every ScaledProblem field equal to the bit."""
+
+    def test_benchmark_grids(self, series_study, feedback_study):
+        grid = row_major(np.logspace(-2, 0, 9), np.logspace(-2, 0, 9))
+        for study in (series_study, feedback_study):
+            for system, u in study.channels.values():
+                classes = assert_assembly_matches_reference(
+                    system, u, study.S, study.gamma, *grid
+                )
+                # eps2 = 1 saturates the scaling (G = I): the design
+                # benchmark synthesizes the other 72 points of each grid
+                assert classes.count("ScaledProblem") == 72
+                assert classes.count("ScalingTooLarge") == 9
+
+    def test_every_gate_in_one_block(self, series_parts):
+        plant, u, S = series_parts
+        eps1 = [0.19, np.nan, 0.19, -0.5, 0.19, 0.19, 0.0, 0.19]
+        eps2 = [0.81, 0.81, 1.5, 0.81, np.inf, 1.0, 0.5, 0.5]
+        assert assert_assembly_matches_reference(plant, u, S, 0.65, eps1, eps2) == [
+            "ScaledProblem", "QreError", "ScalingTooLarge", "QreError",
+            "QreError", "ScalingTooLarge", "QreError", "ScaledProblem",
+        ]
+        # with no feedthrough and no output uncertainty the measurement
+        # weighting vanishes: every point past the scaling gate is singular
+        quiet = SimpleNamespace(A=plant.A, B=plant.B, C=plant.C,
+                                D=np.zeros_like(plant.D), L=plant.L)
+        u0 = squeezer_uncertainty(2.0, 0.0)
+        assert assert_assembly_matches_reference(quiet, u0, S, 0.65, eps1, eps2) == [
+            "SingularE2", "QreError", "ScalingTooLarge", "QreError",
+            "QreError", "ScalingTooLarge", "QreError", "SingularE2",
+        ]
+        assert set(assert_assembly_matches_reference(
+            plant, u, S, np.nan, eps1, eps2
+        )) == {"QreError"}
+        # a faint output uncertainty: E2bar = 16 mu^2 (gamma / eps1)^2 is
+        # singular at eps1 = 1 and not at eps1 = 0.19, within one block
+        faint = squeezer_uncertainty(2.0, 1e-7)
+        assert assert_assembly_matches_reference(
+            quiet, faint, S, 0.65, [0.19, 1.0, 0.19, 1.0], [0.5, 0.5, 0.81, 0.81]
+        ) == ["ScaledProblem", "SingularE2", "ScaledProblem", "SingularE2"]
+
+    def test_squares_round_as_the_one_point_formula(self, series_parts):
+        # x ** 2 of a float is C pow, which rounds some squares otherwise
+        # than numpy's x * x: a block holding such eps2 (where the scaling
+        # (1 - eps2^2)^(-1/2) keeps the difference) and gamma / eps1 still
+        # matches the one-point formula to the bit
+        grid = np.linspace(0.05, 0.95, 40001).tolist()
+        eps2 = [x for x in grid if (1 - x**2) ** -0.5 != (1 - x * x) ** -0.5][:3]
+        eps1 = [x for x in grid if (0.65 / x) ** 2 != (0.65 / x) * (0.65 / x)][:3]
+        assert len(eps1) == len(eps2) == 3
+        assert_assembly_matches_reference(*series_parts, 0.65, *row_major(eps1, eps2))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(feedback=st.booleans(), kappa1=positive, kappa2=positive,
+           chis=st.lists(squeezing, min_size=2, max_size=2), L=estimand,
+           mu=uncertainty, theta=angle, gamma=st.floats(0.1, 2.0),
+           eps1=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+           eps2=st.lists(st.floats(0.05, 1.2), min_size=1, max_size=4))
+    def test_realizable_squeezers(self, feedback, kappa1, kappa2, chis, L, mu,
+                                  theta, gamma, eps1, eps2):
+        chi, chi_c = chis
+        u = squeezer_uncertainty(np.sqrt(kappa1), mu)
+        S = homodyne_matrix([np.deg2rad(theta)])
+        if feedback:
+            plant = feedback_squeezer_plant(
+                kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
+            )
+            ctrl = feedback_squeezer_controller(
+                kappa1 + kappa2, kappa1, kappa2, chi_c, strict=True
+            )
+        else:
+            plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
+            ctrl = squeezer_controller(kappa2, kappa2, chi_c, strict=True)
+        grid = row_major(eps1, eps2)
+        for system, channel_u in ((plant, u), (augment(plant, ctrl),
+                                               lift_uncertainty(u, ctrl, plant))):
+            assert_assembly_matches_reference(system, channel_u, S, gamma, *grid)
+
+    def test_blocks_not_conforming_raise_before_any_gate(self, series_parts,
+                                                         feedback_study):
+        plant, u, S = series_parts
+        for eps in (0.5, [0.5, np.nan]):
+            with pytest.raises(ShapeMismatch, match=r"^S has shape \(3, 3\)"):
+                assemble(plant, u, np.eye(3), 0.65, eps, eps)
+            # the feedback benchmark's lifted model has four states
+            with pytest.raises(ShapeMismatch, match=r"^H1 has shape \(4, 4\)"):
+                assemble(plant, feedback_study.lifted, S, np.nan, eps, eps)
+
+
+class TestGridSearchBlocks:
+    """eps_grid_search hands each block of GRID_BLOCK grid points to its
+    assemble callable as arrays, in one call."""
+
+    def test_one_call_per_block(self, series_study):
+        system, u = series_study.channels["coherent"]
+        grid = np.logspace(-2, 0, 10)
+        calls = []
+
+        def assemble_at(e1, e2):
+            calls.append((e1, e2))
+            return assemble(system, u, series_study.S, series_study.gamma, e1, e2)
+
+        kwargs = dict(gain_convention="theorem", require_stable=True)
+        got = eps_grid_search(assemble_at, lambda est: est.spectral_abscissa,
+                              grid, grid, **kwargs)
+        assert [len(e1) for e1, _ in calls] == [81, 19]
+        for e1, e2 in calls:
+            assert e1.dtype == e2.dtype == float and e1.ndim == e2.ndim == 1
+        np.testing.assert_array_equal(
+            np.concatenate([e1 for e1, _ in calls]), row_major(grid, grid)[0]
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([e2 for _, e2 in calls]), row_major(grid, grid)[1]
+        )
+        want = reference.eps_grid_search(
+            lambda e1, e2: reference.assemble(
+                system, u, series_study.S, series_study.gamma, e1, e2
+            ),
+            lambda est: est.spectral_abscissa, grid, grid, **kwargs,
+        )
+        assert got[:3] == want[:3]
+        reference.assert_same_outcome(got[3], want[3])
+
+    def test_an_error_the_callable_raises_propagates(self, series_parts):
+        plant, u, S = series_parts
+        with pytest.raises(ShapeMismatch, match="^S has shape"):
+            eps_grid_search(
+                lambda e1, e2: assemble(plant, u, np.eye(3), 0.65, e1, e2),
+                lambda est: est.coupling_condition,
+            )
+
+    def test_gate_failures_the_stack_carries_are_skipped(self, series_parts):
+        plant, u, S = series_parts
+
+        def search(eps2_grid):
+            return eps_grid_search(
+                lambda e1, e2: assemble(plant, u, S, 0.65, e1, e2),
+                lambda est: est.coupling_condition,
+                eps1_grid=[0.19, np.nan], eps2_grid=eps2_grid,
+            )
+
+        e1, e2, _, _ = search([np.nan, 1.0, 0.81, 1.5])
+        assert (e1, e2) == (0.19, 0.81)
+        with pytest.raises(QreError, match="no feasible"):
+            search([np.nan, 1.0, 1.5])
