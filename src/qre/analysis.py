@@ -10,8 +10,10 @@ Hamiltonian: its imaginary-axis eigenvalues at a candidate level are the
 frequencies where the gain crosses that level.  The same characterization
 also yields the peak gain over the imaginary axis for a system with
 unstable dynamics (the L-infinity norm); pass ``allow_unstable=True`` to
-request that instead of an error.  Frequency responses are evaluated in
-stacked blocks, one batched linear solve per block.
+request that instead of an error.  The iteration starts from the exact
+gain at the point of a coarse frequency grid where the modal form of the
+response peaks.  Frequency responses are evaluated in stacked blocks, one
+batched linear solve per block.
 
 The kernel works on a stack of K systems of one shape: hinf_norm and
 frequency_response are its K = 1 case, and delta_sweep runs the stack of
@@ -170,6 +172,19 @@ def _at(k, error):
     return error
 
 
+def _pole_offsets(eigA, W):
+    """i w - lambda for each system k, frequency w in W[k] and eigenvalue
+    lambda in eigA[k], as (K, N, n); the first (system, frequency) pair
+    within 1e-12 of a pole raises SingularAtFrequency."""
+    offsets = np.repeat(1j * W[..., None], eigA.shape[-1], axis=2)
+    offsets -= eigA[:, None]
+    near = np.abs(offsets).min(axis=2) < 1e-12
+    if near.any():
+        k, j = np.argwhere(near)[0]
+        raise _at(k, SingularAtFrequency(f"i*omega = {1j * W[k, j]} is a system pole"))
+    return offsets
+
+
 def _responses(A, B, C, D, eigA, W):
     """G_k(i w) = C_k (i w I - A_k)^(-1) B_k + D_k for each system k of a
     stack and each of its frequencies w in W[k], as a (K, N, p, m) array.
@@ -188,13 +203,7 @@ def _responses(A, B, C, D, eigA, W):
     buffer = np.empty((K, min(step, W.shape[1]), n, n), dtype=complex)
     for start in range(0, W.shape[1], step):
         w = W[:, start : start + step]
-        dist = np.abs(1j * w[..., None] - eigA[:, None])
-        near = np.min(dist, axis=2) < 1e-12
-        if near.any():
-            k, j = np.argwhere(near)[0]
-            raise _at(k, SingularAtFrequency(
-                f"i*omega = {1j * w[k, j]} is a system pole"
-            ))
+        _pole_offsets(eigA, w)
         # i w I - A, with i w added along each diagonal in place
         resolvent = buffer[:, : w.shape[1]]
         np.negative(A[:, None], out=resolvent)
@@ -243,6 +252,16 @@ def _level_eigenvalues(A, B, C, D, gamma):
     return np.linalg.eigvals(H)
 
 
+def _modal_gains(B, C, D, eigA, V, grid):
+    """sigma_max of D + C V (i w - Lambda)^(-1) V^+ B, the modal form of each
+    system of a stack (A V = V Lambda), at each w of the grid, as (K, N).
+    With the pseudo-inverse V^+, a defective V gives poor gains, no error."""
+    r = _pole_offsets(eigA, np.broadcast_to(grid, (len(eigA), grid.size)))
+    np.reciprocal(r, out=r)
+    g = np.einsum("kpi,kni,kim->knpm", C @ V, r, np.linalg.pinv(V) @ B)
+    return _sigma_max(g + D[:, None])
+
+
 def _level_set(A, B, C, D, rel_tol, allow_unstable):
     """Peak gains over the imaginary axis of the K systems of the stacks A
     (K, n, n), B (K, n, m), C (K, p, n) and D (K, p, m), their peak
@@ -251,33 +270,28 @@ def _level_set(A, B, C, D, rel_tol, allow_unstable):
     Each system runs the level-set iteration of hinf_norm; the iterations
     go in lockstep, one stacked Hamiltonian eigen-solve and one stacked
     frequency response per step, and a system leaves the active set once
-    it has converged.  One eigen-solve of each A serves the stability check
-    and every pole check.  A QreError raised for one system carries its
-    index in the stack as ``system``.
+    it has converged.  One eigendecomposition of each A serves the
+    stability check, the start's modal gains and every pole check.  A
+    QreError raised for one system carries its index as ``system``.
     """
-    eigA = np.linalg.eigvals(A)
+    eigA, V = np.linalg.eig(A)
     abscissa = eigA.real.max(axis=1, initial=-np.inf)
     if not allow_unstable and (abscissa >= 0).any():
         k = np.argmax(abscissa >= 0)
         raise _at(k, UnstableSystem(
             f"spectral abscissa {abscissa[k]:.4g} is not negative"
         ))
-    K = A.shape[0]
     norms = _sigma_max(D)
-    peaks = np.full(K, np.inf)
     if A.shape[1] == 0 or not B.shape[2] or not C.shape[1]:
-        return norms, peaks, abscissa
-    # starting bound from a coarse frequency grid (both signs: a single
-    # selected channel of a doubled-up system need not be conjugate-symmetric)
+        return norms, np.full(A.shape[0], np.inf), abscissa
+    # start: the exact gain where the modal gains peak on a coarse grid of
+    # both signs (a selected channel of a doubled-up system need not be symmetric)
     grid = np.logspace(-3, 3, 50)
     grid = np.concatenate([-grid[::-1], grid])
-    W = np.broadcast_to(grid, (K, grid.size))
-    gains = _sigma_max(_responses(A, B, C, D, eigA, W))
-    best = np.argmax(gains, axis=1)
-    lo = gains[np.arange(K), best]
-    above = lo > norms
-    peaks[above] = grid[best[above]]
-    lo = np.where(above, lo, norms)
+    W = grid[np.argmax(_modal_gains(B, C, D, eigA, V, grid), axis=1), None]
+    lo = _sigma_max(_responses(A, B, C, D, eigA, W))[:, 0]
+    peaks = np.where(lo > norms, W[:, 0], np.inf)
+    lo = np.where(lo > norms, lo, norms)
     peaks[lo == 0.0] = 0.0
     active = np.flatnonzero(lo != 0.0)
     for _ in range(MAX_LEVELS):
@@ -296,7 +310,7 @@ def _level_set(A, B, C, D, rel_tol, allow_unstable):
         best = np.argmax(gains, axis=1)
         top = gains[np.arange(active.size), best]
         done = top <= gamma
-        scale = np.maximum(1.0, np.abs(eigs).max(axis=1, keepdims=True))
+        scale = np.abs(eigs).max(axis=1, keepdims=True)
         crossed = (np.abs(eigs.real) < 1e-8 * scale).sum(axis=1)
         stuck = np.flatnonzero(done & (crossed > 0) & (top <= lo[active]))
         if stuck.size:
@@ -324,12 +338,13 @@ def hinf_norm(ss, rel_tol=1e-6, allow_unstable=False, return_frequency=False):
     bounded-real Hamiltonian (Boyd & Balakrishnan 1990; Bruinsma &
     Steinbuch 1990).
 
-    From a lower bound lo (coarse-grid peak or gain of D), each step takes
-    the Hamiltonian's eigenvalues at the level lo * (1 + rel_tol), the
-    crossings of that level among them, and raises lo to the best gain at
-    the midpoints between consecutive eigenvalue frequencies.  Once no
-    midpoint gain exceeds the level, lo * (1 + rel_tol / 2) is within
-    rel_tol / 2 of the peak.
+    From a lower bound lo (the exact gain at the grid point the modal form
+    picks, or the gain of D), each step takes the Hamiltonian's eigenvalues
+    at the level lo * (1 + rel_tol), the crossings of that level among
+    them, and raises lo to the best gain at the midpoints between
+    consecutive eigenvalue frequencies.  Once no midpoint gain exceeds the
+    level, lo * (1 + rel_tol / 2) is within rel_tol / 2 of the peak.  Any
+    grid point's gain is a lower bound, so the pick only sets the start.
 
     For a stable system this is the H-infinity norm.  With
     ``allow_unstable=True`` the same computation is performed for unstable

@@ -207,6 +207,33 @@ class TestFrequencyResponse:
         assert g.shape[0] == 0 and g.ndim == 3
 
 
+def check_against_bisection(ss, rel_tol):
+    norm, w = hinf_norm(ss, rel_tol, allow_unstable=True, return_frequency=True)
+    assert norm == pytest.approx(bisection_norm(ss, rel_tol), rel=rel_tol)
+    assert norm >= grid_peak_gain(ss) * (1 - 1e-6)
+    at_w = (max_singular_value(ss.D) if np.isinf(w)
+            else max_singular_value(frequency_response(ss, [w])[0]))
+    assert at_w == pytest.approx(norm, rel=rel_tol)
+
+
+def check_against_local_grid(ss, rel_tol):
+    """A stable system's norm against the peak of a dense grid about its
+    peak frequency (both lie within rel_tol / 2 of the true peak), and no
+    lower than the coarse global grid's peak."""
+    norm, w = hinf_norm(ss, rel_tol, return_frequency=True)
+    g = frequency_response(ss, np.linspace(w - 0.05, w + 0.05, 20001))
+    peak = np.linalg.svd(g, compute_uv=False)[:, 0].max()
+    assert norm == pytest.approx(peak, rel=rel_tol)
+    assert norm >= grid_peak_gain(ss) * (1 - 1e-6)
+
+
+def check_benchmark_loops(check, series_study, feedback_study, deltas):
+    for study in (series_study, feedback_study):
+        for d in deltas[::4]:
+            check(study.closed_loop("classical", d))
+            check(study.closed_loop("coherent", d))
+
+
 class TestLevelSetAgainstBisection:
     """The level-set kernel against the bisection it replaced: both lie
     within rel_tol / 2 of the true peak, so they agree within rel_tol.
@@ -221,20 +248,11 @@ class TestLevelSetAgainstBisection:
     rel_tol = 1e-6
 
     def check(self, ss):
-        norm, w = hinf_norm(ss, self.rel_tol, allow_unstable=True,
-                            return_frequency=True)
-        assert norm == pytest.approx(bisection_norm(ss, self.rel_tol),
-                                     rel=self.rel_tol)
-        assert norm >= grid_peak_gain(ss) * (1 - 1e-6)
-        at_w = (max_singular_value(ss.D) if np.isinf(w)
-                else max_singular_value(frequency_response(ss, [w])[0]))
-        assert at_w == pytest.approx(norm, rel=self.rel_tol)
+        check_against_bisection(ss, self.rel_tol)
 
     def test_benchmark_loops(self, series_study, feedback_study, delta_grid_21):
-        for study in (series_study, feedback_study):
-            for d in delta_grid_21[::4]:
-                self.check(study.closed_loop("classical", d))
-                self.check(study.closed_loop("coherent", d))
+        check_benchmark_loops(self.check, series_study, feedback_study,
+                              delta_grid_21)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -257,6 +275,101 @@ class TestLevelSetAgainstBisection:
         g = frequency_response(ss, np.linspace(w - 0.05, w + 0.05, 20001))
         peak = np.linalg.svd(g, compute_uv=False)[:, 0].max()
         assert peak <= norm <= peak * (1 + self.rel_tol)
+
+
+def jordan_system(seed, n, p=1, m=1):
+    """Seeded stable system whose A is one exactly defective Jordan block:
+    every eigenvector is the first unit vector."""
+    rng = np.random.default_rng(seed)
+    pole = -rng.uniform(0.2, 3.0) + 1j * rng.uniform(-5.0, 5.0)
+    a = pole * np.eye(n) + rng.uniform(0.5, 2.0) * np.eye(n, k=1)
+    b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    c = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+    return StateSpace(a, b, c, np.zeros((p, m)))
+
+
+class TestWorstStart:
+    """The start only steers the iteration: any grid point's exact gain is
+    a lower bound.  With the pick moved to the grid point of least modal
+    gain, the level-set kernel still agrees with the bisection, and where
+    the eigenvector matrix V is singular or ill-conditioned, with a dense
+    local grid.  The bisection is no reference there: on
+    jordan_system(3, 5, 1, 3) its 1e-8 axis test stops 1.0e-6 below the
+    sharp peak of a local grid (1325.8192), which this kernel finds with
+    any start."""
+
+    rel_tol = 1e-6
+
+    def setup_method(self):
+        modal = analysis._modal_gains
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(analysis, "_modal_gains", lambda *a: -modal(*a))
+
+    def teardown_method(self):
+        self.patch.undo()
+
+    def check(self, ss):
+        check_against_bisection(ss, self.rel_tol)
+
+    def test_benchmark_loops(self, series_study, feedback_study, delta_grid_21):
+        check_benchmark_loops(self.check, series_study, feedback_study,
+                              delta_grid_21)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stable=st.booleans(),
+        feedthrough=st.booleans(),
+    )
+    def test_random_systems(self, seed, stable, feedthrough):
+        self.check(random_system(seed, stable, feedthrough))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (4, 2, 1), (5, 1, 3)])
+    def test_defective_dynamics(self, seed, shape):
+        # V has rank one; its pseudo-inverse still gives finite modal gains
+        check_against_local_grid(jordan_system(seed, *shape), self.rel_tol)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_raw_gaussian_basis(self, seed):
+        ss = random_system(seed, feedthrough=seed % 2 == 1, cond=None)
+        check_against_local_grid(ss, self.rel_tol)
+
+
+class TestModalStart:
+    """The start solves one point per system exactly: the grid point where
+    the modal-form gains peak."""
+
+    def test_one_exact_solve_per_system(
+        self, series_study, delta_grid_21, monkeypatch
+    ):
+        shapes = []
+        responses = analysis._responses
+
+        def recording(A, B, C, D, eigA, W):
+            shapes.append(W.shape)
+            return responses(A, B, C, D, eigA, W)
+
+        monkeypatch.setattr(analysis, "_responses", recording)
+        delta_sweep(series_study.loop_polynomial("coherent"), delta_grid_21)
+        assert shapes[0] == (21, 1)
+
+    def test_modal_gains_match_the_resolvent(
+        self, series_study, feedback_study, delta_grid_21
+    ):
+        grid = np.linspace(-50.0, 50.0, 101)
+        for study in (series_study, feedback_study):
+            for name in study.channels:
+                A, B, C, D = study.loop_polynomial(name)(delta_grid_21)
+                eigA, V = np.linalg.eig(A)
+                W = np.broadcast_to(grid, (len(A), grid.size))
+                exact = analysis._sigma_max(
+                    analysis._responses(A, B, C, D, eigA, W)
+                )
+                np.testing.assert_allclose(
+                    analysis._modal_gains(B, C, D, eigA, V, grid), exact,
+                    rtol=1e-9,
+                )
 
 
 class TestHinfNorm:
@@ -389,6 +502,46 @@ class TestStackedKernel:
         np.testing.assert_allclose(
             got, np.linalg.svd(g, compute_uv=False)[..., 0], rtol=1e-14
         )
+
+
+SCALES = [10.0**e for e in range(-10, 7, 2)]
+
+
+def rescaled(stacks, c):
+    """(A, B, C, D) -> (c A, sqrt(c) B, sqrt(c) C, D): G_c(i w) = G(i w / c),
+    a rescaling of time that leaves every peak gain as it is."""
+    A, B, C, D = stacks
+    return c * A, np.sqrt(c) * B, np.sqrt(c) * C, D
+
+
+class TestTimeRescale:
+    """The kernel's gates are relative to the problem's scale, so its
+    norms are invariant under a rescaling of time, within rel_tol (each
+    lies within rel_tol / 2 of the one true peak)."""
+
+    rel_tol = 1e-6
+
+    def check(self, stacks, c):
+        ref = analysis._level_set(*stacks, self.rel_tol, True)[0]
+        got = analysis._level_set(*rescaled(stacks, c), self.rel_tol, True)[0]
+        np.testing.assert_allclose(got, ref, rtol=self.rel_tol)
+
+    @pytest.mark.parametrize("c", SCALES)
+    @pytest.mark.parametrize("name", ["classical", "coherent"])
+    @pytest.mark.parametrize("topology", ["series", "feedback"])
+    def test_benchmark_stacks(self, request, delta_grid_21, topology, name, c):
+        study = request.getfixturevalue(f"{topology}_study")
+        self.check(study.loop_polynomial(name)(delta_grid_21), c)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stable=st.booleans(),
+        feedthrough=st.booleans(),
+        c=st.sampled_from(SCALES),
+    )
+    def test_random_systems(self, seed, stable, feedthrough, c):
+        self.check(stack([random_system(seed, stable, feedthrough)]), c)
 
 
 def first_order(pole, c=1.0):
