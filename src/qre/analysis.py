@@ -13,17 +13,19 @@ unstable dynamics (the L-infinity norm); pass ``allow_unstable=True`` to
 request that instead of an error.
 
 One eigendecomposition A V = V Lambda of each system serves the stability
-check, every pole check and the search for the peak.  Where every V of a
-stack has cond(V) <= MODAL_COND, every gain the iteration takes comes from
-the modal form D + C V (i w - Lambda)^(-1) V^+ B, one batched product per
-evaluation: the pick on a coarse frequency grid, three rounds of a zoom
-about it, the start and each midpoint.  The start then lies so close to the
-peak that one Hamiltonian eigen-solve per system certifies it.  A stack
-with an ill-conditioned or defective V, whose modal gains drift from the
-true ones, only picks its start point by modal gains; every gain after
-that is a resolvent solve.  frequency_response and grid_peak_gain stay on
-the resolvent, evaluated in stacked blocks of one batched linear solve
-each: they are the independent cross-check of the kernel.
+check, every pole check and the search for the peak.  For a system with
+cond(V) <= MODAL_COND, every gain the iteration takes comes from the modal
+form D + C V (i w - Lambda)^(-1) V^+ B, one batched product per evaluation:
+the pick on a coarse frequency grid, three rounds of a zoom about it, the
+start and each midpoint.  The start then lies so close to the peak that one
+Hamiltonian eigen-solve per system certifies it.  A system with an
+ill-conditioned or defective V, whose modal gains drift from the true ones,
+only picks its start point by modal gains; every gain after that is a
+resolvent solve.  The choice is made per system, so a system's norm does
+not depend on the other systems of its stack.  frequency_response and
+grid_peak_gain stay on the resolvent, evaluated in stacked blocks of one
+batched linear solve each: they are the independent cross-check of the
+kernel.
 
 The kernel works on a stack of K systems of one shape: hinf_norm and
 frequency_response are its K = 1 case, and delta_sweep runs the stack of
@@ -266,9 +268,19 @@ def _level_eigenvalues(A, B, C, D, gamma):
 
 def _residues(B, C, V):
     """The residue (C V)_i (V^+ B)_i of each mode i of each system of a
-    stack (A V = V Lambda), as (K, n, p, m).  With the pseudo-inverse V^+, a
-    defective V gives poor modal gains, no error."""
-    return (C @ V).swapaxes(1, 2)[..., None] * (np.linalg.pinv(V) @ B)[:, :, None]
+    stack (A V = V Lambda), as (K, n, p, m), and cond(V) of each system, as
+    (K,).  One SVD of each V gives both: V^+ is formed as np.linalg.pinv
+    forms it (the same SVD, cutoff and products), and cond(V) is the ratio
+    of the extreme singular values.  With the pseudo-inverse, a defective V
+    gives poor modal gains, no error."""
+    u, s, vh = np.linalg.svd(V.conj(), full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    large = s > 1e-15 * s.max(axis=1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    pinv = vh.swapaxes(1, 2) @ (s[..., None] * u.swapaxes(1, 2))
+    return (C @ V).swapaxes(1, 2)[..., None] * (pinv @ B)[:, :, None], cond
 
 
 def _modal_gains(R, D, eigA, W):
@@ -318,9 +330,9 @@ def _level_set(A, B, C, D, rel_tol, allow_unstable):
     go in lockstep, one stacked Hamiltonian eigen-solve and one stacked
     gain evaluation per step, and a system leaves the active set once it
     has converged.  One eigendecomposition A V = V Lambda of each A serves
-    the stability check, every pole check and the gains: where every V of
-    the stack has cond(V) <= MODAL_COND, every gain is taken from the modal
-    form, else every gain after the coarse pick is a resolvent solve.  A
+    the stability check, every pole check and the gains: for a system with
+    cond(V) <= MODAL_COND every gain is taken from the modal form, for any
+    other every gain after the coarse pick is a resolvent solve.  A
     QreError raised for one system carries its index as ``system``.
     """
     eigA, V = np.linalg.eig(A)
@@ -333,23 +345,38 @@ def _level_set(A, B, C, D, rel_tol, allow_unstable):
     norms = _sigma_max(D)
     if A.shape[1] == 0 or not B.shape[2] or not C.shape[1]:
         return norms, np.full(A.shape[0], np.inf), abscissa
-    modal = np.linalg.cond(V).max() <= MODAL_COND
-    R = _residues(B, C, V)
+    R, cond = _residues(B, C, V)
+    modal = cond <= MODAL_COND
 
-    def gains(k, W):
-        """Gains of the systems k at their frequencies W, (len(k), N)."""
-        if modal:
-            return _modal_gains(R[k], D[k], eigA[k], W)
+    def modal_gains(k, W):
+        return _modal_gains(R[k], D[k], eigA[k], W)
+
+    def resolvent_gains(k, W):
         return _sigma_max(_responses(A[k], B[k], C[k], D[k], eigA[k], W))
 
+    def gains(k, W):
+        """Gains of the systems k at their frequencies W, (len(k), N): modal
+        gains for the systems of ``modal``, resolvent gains for the rest.
+        A failure names its system's index in the whole stack."""
+        g = np.empty(W.shape)
+        for on, gain in ((modal[k], modal_gains), (~modal[k], resolvent_gains)):
+            if on.any():
+                try:
+                    g[on] = gain(k[on], W[on])
+                except QreError as exc:
+                    exc.system = k[on][exc.system]
+                    raise
+        return g
+
     # start: the best point of the coarse grid by modal gains, zoomed in on
-    # by modal gains where they stand in for the resolvent; its gain is a
-    # lower bound on the peak
+    # by modal gains for the systems where they stand in for the resolvent;
+    # its gain is a lower bound on the peak
     every = np.arange(len(A))
     w = GRID[np.argmax(_grid_gains(R, D, eigA), axis=1)]
-    for zoom in ZOOMS if modal else ():
-        W = w[:, None] * zoom
-        w = W[every, np.argmax(_modal_gains(R, D, eigA, W), axis=1)]
+    zoomed = np.flatnonzero(modal)
+    for zoom in ZOOMS if zoomed.size else ():
+        W = w[zoomed, None] * zoom
+        w[zoomed] = W[np.arange(zoomed.size), np.argmax(gains(zoomed, W), axis=1)]
     lo = gains(every, w[:, None])[:, 0]
     peaks = np.where(lo > norms, w, np.inf)
     lo = np.where(lo > norms, lo, norms)

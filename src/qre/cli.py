@@ -9,6 +9,7 @@ failure, 4 analysis failure, 5 failed acceptance assertion.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -220,7 +221,9 @@ def cmd_reproduce(preset, outdir):
     return EXIT_OK
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qre",
         description="Robust estimator synthesis and analysis for uncertain "
@@ -244,8 +247,11 @@ def main(argv=None):
     rp = sub.add_parser("reproduce")
     rp.add_argument("--preset", required=True, help="fig3|fig4|fig6|fig7")
     rp.add_argument("--out", default=".", help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

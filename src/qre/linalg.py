@@ -1,10 +1,15 @@
-"""Dense complex matrix kernel: adjoints, Hermitian functions and the CARE
+"""Dense matrix kernel: adjoints, Hermitian functions and the CARE
 A^dag X + X A + X R X + Q = 0 (R, Q Hermitian), solved in numpy alone from the
 Hamiltonian's stable eigenvectors and one Kronecker-system Kleinman step.
 
 The CARE solver works on a stack of K equations of one size, every gate
 applied to each; ``synthesis`` solves a grid's equations as one stack, and
-``solve_care`` is the K = 1 case.
+``solve_care`` is the K = 1 case.  Each equation whose A, R and Q have no
+imaginary part is solved in real arithmetic throughout (the Hamiltonian's
+eig, the QR, U2 U1^-1, the Kleinman step, the residual and the closed-loop
+eigenvalues), the others in complex; a stack holding both is solved as two,
+so an equation's result never depends on the rest of its stack.  The
+solution X is complex128 either way.
 """
 
 from dataclasses import dataclass
@@ -161,12 +166,33 @@ def _solve_cares(A, R, Q, residual_tol=CARE_RESIDUAL_TOL):
     Returns a list of K outcomes, a CareSolution or the error its CARE would
     raise.  The gates run per CARE, in ``solve_care``'s order; a CARE that
     fails one carries its own error and leaves the stack, and the rest go on
-    without it.  Non-finite or non-Hermitian R, Q give a ValueError.
+    without it.  Non-finite or non-Hermitian R, Q give a ValueError.  The
+    CAREs whose A, R and Q have no imaginary part are solved as one stack in
+    real arithmetic, the others as one in complex.
     """
     A, R, Q = np.broadcast_arrays(A, R, Q)
-    K, n = A.shape[:2]
-    out = [None] * K
-    live = np.arange(K)
+    out = [None] * len(A)
+    finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
+    skew_r, skew_q = _not_hermitian(np.stack([R, Q]))
+    ok = finite & ~skew_r & ~skew_q
+    for j in np.flatnonzero(~ok):
+        out[j] = ValueError(
+            "matrix contains NaN or Inf entries" if not finite[j]
+            else f"{'R' if skew_r[j] else 'Q'} is not Hermitian to tolerance"
+        )
+    real = ~(A.imag.any(axis=(1, 2)) | R.imag.any(axis=(1, 2))
+             | Q.imag.any(axis=(1, 2)))
+    for part, take in ((ok & real, np.real), (ok & ~real, np.asarray)):
+        if part.any():
+            _solve_stack(out, np.flatnonzero(part),
+                         *(take(x)[part] for x in (A, R, Q)), residual_tol)
+    return out
+
+
+def _solve_stack(out, live, A, R, Q, residual_tol):
+    """Solve the CAREs of the (K, n, n) stacks A, R, Q, all real or all
+    complex, and put each outcome at out[live[j]]."""
+    n = A.shape[1]
 
     def failed(ok, error):
         """Give each CARE not ``ok`` its error(j); True if there was one."""
@@ -176,21 +202,19 @@ def _solve_cares(A, R, Q, residual_tol=CARE_RESIDUAL_TOL):
             out[live[j]] = error(j)
         return True
 
-    finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
-    skew_r, skew_q = _not_hermitian(np.stack([R, Q]))
-    ok = finite & ~skew_r & ~skew_q
-    if failed(ok, lambda j: ValueError(
-        "matrix contains NaN or Inf entries" if not finite[j]
-        else f"{'R' if skew_r[j] else 'Q'} is not Hermitian to tolerance"
-    )):
-        live, A, R, Q = (x[ok] for x in (live, A, R, Q))
-
-    H = np.empty((len(live), 2 * n, 2 * n), dtype=complex)
+    H = np.empty((len(live), 2 * n, 2 * n), dtype=A.dtype)
     H[:, :n, :n], H[:, :n, n:] = A, R
     np.negative(Q, out=H[:, n:, :n])
     np.negative(_conj_t(A), out=H[:, n:, n:])
     lam, V = np.linalg.eig(H)
     del H
+    if not np.iscomplexobj(A):
+        # a real basis of the eigenvectors: v itself for a real eigenvalue,
+        # Re v and Im v for a conjugate pair (the first member, Im lam > 0,
+        # gives Re v; its conjugate gives Im v, negated).  These are LAPACK's
+        # real eigenvectors whether numpy returned V real or complex, so a
+        # CARE's bits do not depend on the other eigenvalues of its stack.
+        V = np.where(lam.imag[:, None] < 0, V.imag, V.real)
     gap = np.abs(lam.real).min(axis=1)
     stable = lam.real < 0
     sdim = stable.sum(axis=1)
@@ -223,7 +247,7 @@ def _solve_cares(A, R, Q, residual_tol=CARE_RESIDUAL_TOL):
     # in one buffer as the (i, j, k, l) entry Acl^dag[i, k] d(j, l) +
     # d(i, k) Acl[l, j]
     Acl = A + R @ X
-    kron = np.zeros((len(live), n, n, n, n), dtype=complex)
+    kron = np.zeros((len(live), n, n, n, n), dtype=A.dtype)
     for j in range(n):
         kron[:, :, j, :, j] = _conj_t(Acl)
     for i in range(n):
@@ -258,11 +282,11 @@ def _solve_cares(A, R, Q, residual_tol=CARE_RESIDUAL_TOL):
     failed(ok, lambda j: UnstableSystem(
         f"closed-loop abscissa {abscissa[j]:.3e} is not negative"
     ))
+    X = X.astype(complex, copy=False)
     for j in np.flatnonzero(ok):
         out[live[j]] = CareSolution(
             X=X[j], residual=float(res[j]), closed_loop_abscissa=float(abscissa[j])
         )
-    return out
 
 
 def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):

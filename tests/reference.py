@@ -2,8 +2,10 @@
 
 Per-problem bodies of the stacked solvers: one CARE and one estimator at a
 time, as qre solved them before the Riccati solver and the synthesis ran on
-stacks.  The stacked kernels must give the same outcome class and, where
-they solve, equal matrices and diagnostics.
+stacks.  A CARE whose A, R and Q have no imaginary part is solved in real
+arithmetic and its X returned as complex, as the stacked solver does.  The
+stacked kernels must give the same outcome class and, where they solve,
+equal matrices and diagnostics.
 
 Per-point bodies of the stacked assembly and of the grid search: one
 scaled problem at a time, as qre assembled them before ``assemble`` built a
@@ -46,8 +48,14 @@ from qre.synthesis import Estimator, ScaledProblem
 def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
     A, R, Q = inst.A, inst.R, inst.Q
     n = inst.n
+    real = not (A.imag.any() or R.imag.any() or Q.imag.any())
+    if real:
+        A, R, Q = (m.real.copy() for m in (A, R, Q))
     H = np.vstack([np.hstack([A, R]), np.hstack([-Q, -A.conj().T])])
     lam, V = np.linalg.eig(H)
+    if real:
+        # a real basis: Re v, and Im v for the conjugate with Im lam < 0
+        V = np.where(lam.imag < 0, V.imag, V.real)
     gap = np.min(np.abs(lam.real))
     if gap < IMAG_AXIS_GAP:
         raise ImaginaryAxisEigenvalue(
@@ -81,7 +89,8 @@ def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
     abscissa = float(np.max(np.linalg.eigvals(A + R @ X).real))
     if not abscissa < 0:
         raise UnstableSystem(f"closed-loop abscissa {abscissa:.3e} is not negative")
-    return CareSolution(X=X, residual=res, closed_loop_abscissa=abscissa)
+    return CareSolution(X=X.astype(complex), residual=res,
+                        closed_loop_abscissa=abscissa)
 
 
 def riccati_residual_x(p, X):

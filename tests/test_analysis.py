@@ -79,11 +79,36 @@ def bisection_norm(ss, rel_tol=1e-6):
     return 0.5 * (lo + hi)
 
 
+def unit_columns(T):
+    """T rotated from the right, a pair of columns at a time, until every
+    column has unit norm, after scaling it so that its squared singular
+    values sum to n; the rotations keep the singular values, so the
+    condition number is T's (Davies & Higham, BIT 40, 2000)."""
+    n = T.shape[1]
+    T = T * np.sqrt(n) / np.linalg.norm(T)
+    todo = list(range(n))
+    while len(todo) > 1:
+        g = np.linalg.norm(T[:, todo], axis=0) ** 2
+        i, j = todo[np.argmin(g)], todo[np.argmax(g)]
+        gi, gj = g.min(), g.max()
+        if gj - gi <= 1e-14:
+            break
+        # c t_i + s t_j has unit norm: (gj - 1) t^2 + 2 gij t + gi - 1 = 0
+        # in t = s / c, which has a real root as gi < 1 < gj
+        gij = np.vdot(T[:, i], T[:, j]).real
+        t = (-gij + np.sqrt(gij**2 - (gj - 1) * (gi - 1))) / (gj - 1)
+        c = 1 / np.sqrt(1 + t * t)
+        T[:, [i, j]] = T[:, [i, j]] @ np.array([[c, -c * t], [c * t, c]])
+        todo.remove(i)
+    return T
+
+
 def random_system(seed, stable=True, feedthrough=False, cond=3.0, shape=None):
     """Seeded complex system whose poles keep a margin from the imaginary
     axis: in the left half-plane, or straddling it when not ``stable``.
-    ``cond`` is the condition number of the eigenvector matrix of A; with
-    ``cond=None`` that matrix is a raw Gaussian one.  ``shape`` fixes the
+    ``cond`` is the condition number of the eigenvector matrix of A, whose
+    unit-norm columns are the eigenvectors as numpy returns them, up to
+    phase; with ``cond=None`` that matrix is a raw Gaussian one.  ``shape`` fixes the
     state, output and input counts (n, p, m); by default they are drawn."""
     rng = np.random.default_rng(seed)
     n, m, p = rng.integers(1, 7), rng.integers(1, 4), rng.integers(1, 4)
@@ -91,7 +116,9 @@ def random_system(seed, stable=True, feedthrough=False, cond=3.0, shape=None):
         n, p, m = shape
     T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if cond is not None:
-        T = np.linalg.qr(T)[0] * np.logspace(0.0, np.log10(cond), n)
+        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        T = unit_columns(np.linalg.qr(T)[0] * np.logspace(0.0, np.log10(cond), n)
+                         @ np.linalg.qr(W)[0])
     re = -rng.uniform(0.2, 3.0, n)
     if not stable:
         re[: (n + 1) // 2] *= -1
@@ -378,10 +405,10 @@ def skewed_system(seed, decades, jordan):
 
 
 class TestModalKernel:
-    """Where the eigenvector matrix V of every system of a stack has
-    cond(V) <= MODAL_COND, every gain of the level-set kernel comes from the
-    modal form, and the Hamiltonian only certifies the peak; a stack with a
-    worse V takes its gains from the resolvent."""
+    """Where the eigenvector matrix V of a system has cond(V) <=
+    MODAL_COND, every gain the level-set kernel takes for it comes from the
+    modal form, and the Hamiltonian only certifies the peak; a system with a
+    worse V takes its gains from the resolvent, whatever its stack holds."""
 
     rel_tol = 1e-6
 
@@ -433,7 +460,7 @@ class TestModalKernel:
         W = np.concatenate([analysis.GRID, eigA[0].imag,
                             np.linspace(-6.0, 6.0, 241)])[None]
         exact = analysis._sigma_max(analysis._responses(A, B, C, D, eigA, W))
-        modal = analysis._modal_gains(analysis._residues(B, C, V), D, eigA, W)
+        modal = analysis._modal_gains(analysis._residues(B, C, V)[0], D, eigA, W)
         np.testing.assert_allclose(modal, exact, rtol=0, atol=1e-9 * exact.max())
 
     @pytest.mark.parametrize("seed", range(4))
@@ -448,6 +475,38 @@ class TestModalKernel:
             g = frequency_response(ss, np.linspace(w - 0.05, w + 0.05, 20001))
             peak = analysis._sigma_max(g).max()
             assert norm == pytest.approx(peak, rel=self.rel_tol)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_jordan_block_leaves_its_stack_mates_alone(self, seed):
+        ss = random_system(seed, shape=(5, 1, 3))
+        norms, peaks, _ = analysis._level_set(
+            *stack([ss, jordan_system(seed, 5, 1, 3)]), self.rel_tol, False
+        )
+        assert (norms[0], peaks[0]) == hinf_norm(ss, self.rel_tol,
+                                                 return_frequency=True)
+
+    def test_a_failure_names_its_system_in_the_stack(self, monkeypatch):
+        # the zoom takes modal gains of the second system alone; a pole hit
+        # there names it by its index in the whole stack, not in the subset
+        modal_gains = analysis._modal_gains
+
+        def hit(R, D, eigA, W):
+            if len(R) == 1:
+                raise analysis._at(0, SingularAtFrequency("i*omega is a system pole"))
+            return modal_gains(R, D, eigA, W)
+
+        monkeypatch.setattr(analysis, "_modal_gains", hit)
+        systems = [jordan_system(0, 5, 1, 3), random_system(0, shape=(5, 1, 3))]
+        with pytest.raises(SingularAtFrequency) as info:
+            analysis._level_set(*stack(systems), self.rel_tol, False)
+        assert info.value.system == 1
+
+    @pytest.mark.parametrize("cond", [3.0, 1e3])
+    def test_random_system_has_the_eigenvector_condition_it_names(self, cond):
+        for seed in range(20):
+            V = np.linalg.eig(random_system(seed, cond=cond).A)[1]
+            if len(V) > 1:
+                assert np.linalg.cond(V) == pytest.approx(cond, rel=1e-6)
 
 
 class TestHinfNorm:

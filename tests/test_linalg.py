@@ -271,6 +271,12 @@ def near_defective_care(rng, n, log_cond, re):
                         Q=C.conj().T @ C)
 
 
+def is_real(inst):
+    """Whether a CARE's data have no imaginary part, so that it is solved in
+    real arithmetic."""
+    return not any(m.imag.any() for m in (inst.A, inst.R, inst.Q))
+
+
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -297,12 +303,13 @@ class TestAgainstSchurReference:
             channels = [(plant, u),
                         (augment(plant, ctrl), lift_uncertainty(u, ctrl, plant))]
         S = homodyne_matrix([np.deg2rad(theta)])
-        cares = []
+        cares, calls = [], []
 
         def record(A, R, Q, *args):
             # every CARE of the stack, as the instance it would be alone
-            for a, r, q in zip(*np.broadcast_arrays(A, R, Q)):
-                cares.append(CareInstance(A=a, R=r, Q=q))
+            calls.append([CareInstance(A=a, R=r, Q=q)
+                          for a, r, q in zip(*np.broadcast_arrays(A, R, Q))])
+            cares.extend(calls[-1])
             return _solve_cares(A, R, Q, *args)
 
         problems = []
@@ -314,10 +321,14 @@ class TestAgainstSchurReference:
         assume(problems)
         with mock.patch.object(synthesis, "_solve_cares", record):
             for p in problems:
+                state = len(calls)
                 try:
                     synthesis.synthesize(p)
                 except QreError:
                     pass
+                # the state equation, solved first, has real data: it takes
+                # the real-arithmetic path
+                assert all(is_real(inst) for inst in calls[state])
         # each synthesis solves its state equation at least
         assert len(cares) >= len(problems)
         for inst in cares:
@@ -413,6 +424,48 @@ class TestStackedKernel:
         if singular and n == 2:
             insts.insert(rng.integers(0, k + 1), singular_kleinman_care())
         assert_stack_matches_one_at_a_time(insts)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=seeds, n=st.integers(1, 4), real=st.lists(st.booleans(),
+                                                          min_size=1, max_size=6))
+    def test_real_and_complex_data_in_one_stack(self, seed, n, real):
+        # real[k] draws CARE k with real data, solved in real arithmetic
+        rng = np.random.default_rng(seed)
+        insts = []
+        for r in real:
+            draw = (rng.standard_normal if r
+                    else lambda shape: complex_normal(rng, shape))
+            B = draw((n, rng.integers(1, n + 1)))
+            C = draw((rng.integers(1, n + 1), n))
+            insts.append(CareInstance(A=draw((n, n)),
+                                      R=rng.choice([-1, 0, 1]) * B @ B.conj().T,
+                                      Q=C.conj().T @ C))
+        assert [is_real(i) for i in insts] == real
+        assert_stack_matches_one_at_a_time(insts)
+
+    def test_real_eigenvalues_beside_complex_ones(self):
+        # alone, the first Hamiltonian's eig is returned real (every
+        # eigenvalue is); beside the second, whose eigenvalues are complex,
+        # it is returned complex; the bits of its X stay the same
+        real = CareInstance(A=np.diag([-1.0, -2.0]), R=np.zeros((2, 2)),
+                            Q=np.eye(2))
+        rotating = CareInstance(A=[[-1.0, 2.0], [-2.0, -1.0]], R=np.zeros((2, 2)),
+                                Q=np.eye(2))
+        assert np.isrealobj(np.linalg.eig(np.block(
+            [[real.A.real, real.R.real], [-real.Q.real, -real.A.real.T]]))[0])
+        assert assert_stack_matches_one_at_a_time([real, rotating, real]) == [
+            "CareSolution"] * 3
+
+    def test_x_is_complex(self):
+        insts = [CareInstance(A=[[-1.0]], R=[[0.0]], Q=[[2.0]]),
+                 CareInstance(A=[[-1.0j]], R=[[-1.0]], Q=[[1.0]])]
+        for got in (_solve_cares(*(np.stack([getattr(i, m) for i in insts])
+                                   for m in "ARQ")),
+                    _solve_cares(np.array([[[-1.0]]]), np.zeros((1, 1, 1)),
+                                 np.array([[[2.0]]]))):
+            for sol in got:
+                assert sol.X.dtype == np.complex128
+        np.testing.assert_array_equal(got[0].X, [[1.0 + 0.0j]], strict=True)
 
     def test_non_hermitian_or_non_finite_slice(self):
         good = random_care(np.random.default_rng(5), 2, 1, 1)

@@ -1,4 +1,7 @@
+from collections import Counter
+from itertools import count
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -457,6 +460,26 @@ def assert_stack_matches_reference(problems, **kwargs):
     return [type(est).__name__ for est in got]
 
 
+def stacked_cares(problems, **kwargs):
+    """(equation, real data, outcome class) of each CARE that the stacked
+    synthesis of ``problems`` solves: equation 0 is the state equation, 1
+    the output-injection one."""
+    cares, calls = [], count()
+    solve_cares = synthesis._solve_cares
+
+    def record(A, R, Q, *args):
+        got = solve_cares(A, R, Q, *args)
+        which = next(calls)
+        for a, r, q, sol in zip(*np.broadcast_arrays(A, R, Q), got):
+            real = not (a.imag.any() or r.imag.any() or q.imag.any())
+            cares.append((which, real, type(sol).__name__))
+        return got
+
+    with mock.patch.object(synthesis, "_solve_cares", record):
+        synthesis._synthesize(synthesis._stack(problems), **kwargs)
+    return cares
+
+
 class TestStackedSynthesis:
     """The stacked synthesis against the per-problem reference: the same
     outcome class at every grid point, and every Estimator field equal."""
@@ -466,18 +489,30 @@ class TestStackedSynthesis:
     def test_benchmark_grids(self, series_study, feedback_study, convention,
                              require_stable):
         grid = np.logspace(-2, 0, 9)
-        feasible = 0
+        feasible, cares = 0, []
+        design = convention == "theorem" and require_stable
         for study in (series_study, feedback_study):
             for _, assemble_at in benchmark_channels(study):
+                problems = grid_problems(assemble_at, grid, grid)
                 classes = assert_stack_matches_reference(
-                    grid_problems(assemble_at, grid, grid),
+                    problems,
                     gain_convention=convention,
                     require_stable=require_stable,
                 )
                 feasible += classes.count("Estimator")
-        if convention == "theorem" and require_stable:
-            # the design benchmark's setting: 128 of the 324 points
+                if design:
+                    cares += stacked_cares(problems, gain_convention=convention,
+                                           require_stable=require_stable)
+        if design:
+            # the design benchmark's setting: 128 of the 324 points; of its
+            # 497 CAREs, the 288 state equations have real data and are
+            # solved in real arithmetic, the 209 output-injection ones
+            # complex; 337 solve and 160 fail the imaginary-axis gate
             assert feasible == 128
+            assert Counter(c[:2] for c in cares) == {(0, True): 288, (1, False): 209}
+            assert Counter(c[2] for c in cares) == {
+                "CareSolution": 337, "ImaginaryAxisEigenvalue": 160
+            }
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(feedback=st.booleans(), kappa1=positive, kappa2=positive,
