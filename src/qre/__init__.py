@@ -28,9 +28,6 @@ from .errors import QreError
 from .linalg import (
     CareInstance,
     CareSolution,
-    adjoint,
-    hermitian_inv_sqrt,
-    max_singular_value,
     solve_care,
 )
 from .presets import (
@@ -41,7 +38,6 @@ from .presets import (
 )
 from .quantum import (
     CoherentController,
-    DoubledOperator,
     QuantumPlant,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
@@ -68,13 +64,9 @@ from .uncertainty import (
 __all__ = [
     "__version__",
     "QreError",
-    "adjoint",
-    "hermitian_inv_sqrt",
-    "max_singular_value",
     "CareInstance",
     "CareSolution",
     "solve_care",
-    "DoubledOperator",
     "omega",
     "homodyne_matrix",
     "QuantumPlant",

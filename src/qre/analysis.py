@@ -85,10 +85,6 @@ class StateSpace:
             return -np.inf
         return float(np.max(np.linalg.eigvals(self.A).real))
 
-    @property
-    def is_stable(self):
-        return self.spectral_abscissa < 0
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -457,18 +453,19 @@ def hinf_norm(ss, rel_tol=1e-6, allow_unstable=False, return_frequency=False):
     return (norm, peak) if return_frequency else norm
 
 
-def grid_peak_gain(ss, n_points=2000, omega_min=1e-3, omega_max=1e3):
-    """Brute-force peak gain on a dense logarithmic frequency grid; used as
-    an independent, Hamiltonian-free cross-check of the level-set
-    iteration in hinf_norm.
+# The oracle's dense grid: 2000 log-spaced points per sign over
+# 1e-3 ... 1e3 rad/s.  With complex state-space data, a selected
+# input/output channel of a doubled-up model generally peaks on one side of
+# the frequency axis only.
+ORACLE_GRID = np.logspace(-3, 3, 2000)
+ORACLE_GRID = np.concatenate([-ORACLE_GRID[::-1], ORACLE_GRID])
 
-    The grid covers both signs of the frequency axis (n_points per sign):
-    with complex state-space data, a selected input/output channel of a
-    doubled-up model generally peaks on one side only.
-    """
-    grid = np.logspace(np.log10(omega_min), np.log10(omega_max), n_points)
-    grid = np.concatenate([-grid[::-1], grid])
-    return float(_sigma_max(frequency_response(ss, grid)).max())
+
+def grid_peak_gain(ss):
+    """Brute-force peak gain on the dense ORACLE_GRID; used as an
+    independent, Hamiltonian-free cross-check of the level-set iteration in
+    hinf_norm."""
+    return float(_sigma_max(frequency_response(ss, ORACLE_GRID)).max())
 
 
 def delta_sweep(builder, deltas, label="", rel_tol=1e-6, allow_unstable=True):

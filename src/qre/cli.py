@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import frequency_response, hinf_norm
+from .analysis import _sigma_max, frequency_response, hinf_norm
 from .errors import (
     CareFailure,
     DomainError,
@@ -26,7 +26,6 @@ from .errors import (
     QreError,
     ScalingTooLarge,
 )
-from .linalg import max_singular_value
 from .presets import (
     build_study,
     feedback_benchmark_config,
@@ -76,26 +75,35 @@ def _write_meta(outdir, command, config, extra=None):
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
+def _grid(config, key, defaults):
+    """min, max and points of the config grid ``key``, defaults filled in."""
+    g = config.get(key, {})
+    if not isinstance(g, dict):
+        raise ValueError(f"{key} must map min, max and points")
+    g = dict(zip(("min", "max", "points"), defaults), **g)
+    n = g["points"]
+    if not (isinstance(n, (int, float)) and n >= 1 and n % 1 == 0):
+        raise ValueError(f"{key}.points must be a whole number >= 1, got {n!r}")
+    return float(g["min"]), float(g["max"]), int(n)
+
+
 def _frequency_grid(config):
-    g = config.get("frequency_grid", {})
-    return np.logspace(
-        np.log10(float(g.get("min", 1e-2))),
-        np.log10(float(g.get("max", 1e2))),
-        int(g.get("points", 400)),
-    )
+    lo, hi, points = _grid(config, "frequency_grid", (1e-2, 1e2, 400))
+    if not (0 < lo < np.inf and 0 < hi < np.inf):
+        raise ValueError(
+            f"frequency_grid.min and .max must be positive and finite, got {lo}, {hi}"
+        )
+    return np.logspace(np.log10(lo), np.log10(hi), points)
 
 
 def _delta_grid(config):
-    g = config.get("delta_grid", {})
-    return np.linspace(
-        float(g.get("min", -1.0)), float(g.get("max", 1.0)), int(g.get("points", 21))
-    )
+    return np.linspace(*_grid(config, "delta_grid", (-1.0, 1.0, 21)))
 
 
 def _estimator_record(est, name):
-    """Every field of the estimator but the Riccati solutions and params."""
+    """Every field of the estimator but the Riccati solutions."""
     record = {f.name: getattr(est, f.name) for f in fields(est)}
-    for m in ("X", "Y", "params"):
+    for m in ("X", "Y"):
         del record[m]
     record.update((m, matrix_to_json(record[m])) for m in ("A_K", "B_K", "C_K"))
     return {"name": name, **record}
@@ -128,11 +136,10 @@ def _write_bode(study, config, outdir, command):
     delta = study.delta_design
     rows = []
     for label in study.channels:
-        loop = study.closed_loop(label, delta)
-        for w, g in zip(omegas, frequency_response(loop, omegas)):
-            mag = max_singular_value(g)
-            if not np.isfinite(mag):
-                raise QreError(f"non-finite gain at omega={w}")
+        mags = _sigma_max(frequency_response(study.closed_loop(label, delta), omegas))
+        if not np.isfinite(mags).all():
+            raise QreError(f"non-finite gain at omega={omegas[~np.isfinite(mags)][0]}")
+        for w, mag in zip(omegas, mags.tolist()):
             rows.append((w, mag, 20 * np.log10(mag) if mag > 0 else -np.inf, label))
     with open(outdir / "bode.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -221,6 +228,13 @@ def cmd_reproduce(preset, outdir):
     return EXIT_OK
 
 
+def _tolerance(text):
+    """The sweep's relative norm tolerance: a number strictly in (0, 1)."""
+    if not 0 < float(text) < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly in (0, 1), got {text!r}")
+    return float(text)
+
+
 @functools.cache
 def _parser():
     """The argument parser, built once per process."""
@@ -242,7 +256,8 @@ def _parser():
         )
         if name == "sweep":
             sp.add_argument(
-                "--tol", type=float, default=1e-6, help="relative norm tolerance"
+                "--tol", type=_tolerance, default=1e-6,
+                help="relative norm tolerance, in (0, 1)",
             )
     rp = sub.add_parser("reproduce")
     rp.add_argument("--preset", required=True, help="fig3|fig4|fig6|fig7")

@@ -13,10 +13,6 @@ class DomainError(QreError):
     """A scalar argument is outside its admissible range."""
 
 
-class NotPositiveDefinite(QreError):
-    """A matrix required to be Hermitian positive definite is not."""
-
-
 class ImaginaryAxisEigenvalue(QreError):
     """The Riccati Hamiltonian has an eigenvalue too close to the imaginary axis."""
 

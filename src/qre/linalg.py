@@ -1,6 +1,6 @@
-"""Dense matrix kernel: adjoints, Hermitian functions and the CARE
-A^dag X + X A + X R X + Q = 0 (R, Q Hermitian), solved in numpy alone from the
-Hamiltonian's stable eigenvectors and one Kronecker-system Kleinman step.
+"""Dense matrix kernel: the CARE A^dag X + X A + X R X + Q = 0 (R, Q
+Hermitian), solved in numpy alone from the Hamiltonian's stable
+eigenvectors and one Kronecker-system Kleinman step.
 
 The CARE solver works on a stack of K equations of one size, every gate
 applied to each; ``synthesis`` solves a grid's equations as one stack, and
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ImaginaryAxisEigenvalue,
-    NotPositiveDefinite,
     ResidualTooLarge,
     ShapeMismatch,
     SingularU1,
@@ -27,9 +26,6 @@ from .errors import (
 
 __all__ = [
     "as_cmatrix",
-    "adjoint",
-    "hermitian_inv_sqrt",
-    "max_singular_value",
     "CareInstance",
     "CareSolution",
     "solve_care",
@@ -51,11 +47,6 @@ def as_cmatrix(m):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
-
-
-def adjoint(m):
-    """Conjugate transpose."""
-    return as_cmatrix(m).conj().T
 
 
 def _conj_t(m):
@@ -80,35 +71,6 @@ def _not_hermitian(m):
 def _check_hermitian(m, name):
     if _not_hermitian(m):
         raise ValueError(f"{name} is not Hermitian to tolerance")
-
-
-def hermitian_inv_sqrt(m):
-    """Inverse principal square root of a Hermitian positive definite matrix.
-
-    Returns P = m^(-1/2), Hermitian, with P @ m @ P = I.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the smallest eigenvalue is below 1e-12 times the largest.
-    """
-    m = as_cmatrix(m)
-    _check_hermitian(m, "matrix")
-    w, v = np.linalg.eigh(m)
-    if w[0] <= 1e-12 * max(w[-1], 0.0):
-        raise NotPositiveDefinite(
-            f"eigenvalue floor violated: min={w[0]:.3e}, max={w[-1]:.3e}"
-        )
-    p = (v / np.sqrt(w)) @ v.conj().T
-    return (p + p.conj().T) / 2
-
-
-def max_singular_value(m):
-    """Largest singular value of m."""
-    m = as_cmatrix(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -158,7 +120,7 @@ def _residual(A, R, Q, X):
     return _frobenius(res) / (1 + _frobenius(Q))
 
 
-def _solve_cares(A, R, Q, residual_tol=CARE_RESIDUAL_TOL):
+def _solve_cares(A, R, Q):
     """Stabilizing solutions of K canonical CAREs, each solved as
     ``solve_care`` solves one.  A, R, Q are (K, n, n) stacks, or (n, n)
     matrices shared by all K, at least one of them being a stack.
@@ -185,11 +147,11 @@ def _solve_cares(A, R, Q, residual_tol=CARE_RESIDUAL_TOL):
     for part, take in ((ok & real, np.real), (ok & ~real, np.asarray)):
         if part.any():
             _solve_stack(out, np.flatnonzero(part),
-                         *(take(x)[part] for x in (A, R, Q)), residual_tol)
+                         *(take(x)[part] for x in (A, R, Q)))
     return out
 
 
-def _solve_stack(out, live, A, R, Q, residual_tol):
+def _solve_stack(out, live, A, R, Q):
     """Solve the CAREs of the (K, n, n) stacks A, R, Q, all real or all
     complex, and put each outcome at out[live[j]]."""
     n = A.shape[1]
@@ -272,9 +234,9 @@ def _solve_stack(out, live, A, R, Q, residual_tol):
     X = (X + _conj_t(X)) / 2
 
     res = _residual(A, R, Q, X)
-    ok = res <= residual_tol
+    ok = res <= CARE_RESIDUAL_TOL
     if failed(ok, lambda j: ResidualTooLarge(
-        f"relative residual {res[j]:.3e} > {residual_tol:.1e}"
+        f"relative residual {res[j]:.3e} > {CARE_RESIDUAL_TOL:.1e}"
     )):
         live, A, R, X, res = (x[ok] for x in (live, A, R, X, res))
     abscissa = np.linalg.eigvals(A + R @ X).real.max(axis=1)
@@ -289,7 +251,7 @@ def _solve_stack(out, live, A, R, Q, residual_tol):
         )
 
 
-def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
+def solve_care(inst):
     """Stabilizing solution of the canonical CARE.
 
     X = U2 U1^{-1}, Hermitian-symmetrized, from the QR-orthonormalized basis
@@ -308,7 +270,7 @@ def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
     UnstableSystem
         The closed-loop matrix A + R X is not Hurwitz.
     """
-    (sol,) = _solve_cares(inst.A[None], inst.R[None], inst.Q[None], residual_tol)
+    (sol,) = _solve_cares(inst.A[None], inst.R[None], inst.Q[None])
     if isinstance(sol, Exception):
         raise sol
     return sol

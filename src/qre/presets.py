@@ -99,8 +99,6 @@ class Study:
     estimators and their loops are built on first use and kept.
     """
 
-    config: dict
-    topology: str
     plant: object
     controller: object
     uncertainty: object
@@ -218,10 +216,14 @@ def build_study(config):
             )
         augmented = augment(plant, controller)
         lifted = lift_uncertainty(u, controller, plant)
+    for system in (plant, augmented):
+        if system is not None and S.shape[1] != system.C.shape[0]:
+            raise ValueError(
+                f"homodyne_angles_deg gives {S.shape[0]} angles for a measured "
+                f"output of {system.C.shape[0] // 2} mode(s)"
+            )
 
     study = Study(
-        config=dict(config),
-        topology=topology,
         plant=plant,
         controller=controller,
         uncertainty=u,

@@ -1,7 +1,7 @@
 """Doubled-up quantum state-space models.
 
 Builders and validators for annihilation/creation doubled-up systems: the
-conjugate-block operator structure, homodyne measurement matrices, and the
+conjugate-block operator, homodyne measurement matrices, and the
 dynamic-squeezer plant/controller realizations.
 
 Every plant has a control input B2 and every controller the two inputs and
@@ -11,7 +11,7 @@ series squeezer controller has no field input of its own and no control
 output, so B_c1, C_c, Dt_c1, D_c1 and D_c2 have a zero dimension.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import DomainError, NotPhysicallyRealizable, ShapeMismatch
 from .linalg import as_cmatrix
 
 __all__ = [
-    "DoubledOperator",
     "omega",
     "homodyne_matrix",
     "QuantumPlant",
@@ -30,83 +29,19 @@ __all__ = [
     "feedback_squeezer_controller",
 ]
 
-#: absolute tolerance for the conjugate-block structure check
-DOUBLED_STRUCTURE_TOL = 1e-12
 #: tolerance for the squeezer trace (realizability) conditions
 REALIZABILITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DoubledOperator:
-    """A 2p x 2q matrix with the conjugate-block structure
-    [[m1, m2], [conj(m2), conj(m1)]]."""
-
-    m1: np.ndarray
-    m2: np.ndarray
-
-    def __post_init__(self):
-        m1 = as_cmatrix(self.m1)
-        m2 = as_cmatrix(self.m2)
-        if m1.shape != m2.shape:
-            raise ShapeMismatch(
-                f"blocks must share a shape; got {m1.shape} and {m2.shape}"
-            )
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-
-    @property
-    def realization(self):
-        """The full 2p x 2q matrix."""
-        return np.block([[self.m1, self.m2], [self.m2.conj(), self.m1.conj()]])
-
-    @classmethod
-    def from_realization(cls, m):
-        """Split a 2p x 2q matrix into blocks, verifying the structure."""
-        m = as_cmatrix(m)
-        if m.shape[0] % 2 or m.shape[1] % 2:
-            raise ShapeMismatch(f"realization must have even dimensions: {m.shape}")
-        p, q = m.shape[0] // 2, m.shape[1] // 2
-        m1, m2 = m[:p, :q], m[:p, q:]
-        lower = np.block([[m2.conj(), m1.conj()]])
-        scale = max(np.linalg.norm(m), 1.0)
-        if np.linalg.norm(m[p:, :] - lower) > DOUBLED_STRUCTURE_TOL * scale:
-            raise ShapeMismatch("matrix lacks the conjugate-block structure")
-        return cls(m1, m2)
-
-
 def omega(m1, m2):
-    """Build the doubled operator [[m1, m2], [m2#, m1#]]."""
-    return DoubledOperator(m1, m2)
-
-
-def deinterleave(m):
-    """Reorder from mode-interleaved doubled coordinates (a1, a1#, a2,
-    a2#, ...) to block coordinates (a1, a2, ..., a1#, a2#, ...).
-
-    Composite systems built from per-mode doubled blocks carry the
-    conjugate-block structure in the interleaved ordering; this permutation
-    exposes it to :func:`is_doubled`.
-    """
-    m = as_cmatrix(m)
-    if m.shape[0] % 2 or m.shape[1] % 2:
-        raise ShapeMismatch(f"dimensions must be even: {m.shape}")
-    rows = np.r_[np.arange(0, m.shape[0], 2), np.arange(1, m.shape[0], 2)]
-    cols = np.r_[np.arange(0, m.shape[1], 2), np.arange(1, m.shape[1], 2)]
-    return m[np.ix_(rows, cols)]
-
-
-def is_doubled(m, tol=1e-10):
-    """True when m has the conjugate-block structure to tolerance."""
-    m = as_cmatrix(m)
-    if m.shape[0] % 2 or m.shape[1] % 2:
-        return False
-    p, q = m.shape[0] // 2, m.shape[1] // 2
-    scale = max(np.linalg.norm(m), 1.0)
-    err = max(
-        np.linalg.norm(m[p:, q:] - m[:p, :q].conj()),
-        np.linalg.norm(m[p:, :q] - m[:p, q:].conj()),
-    )
-    return bool(err <= tol * scale)
+    """The doubled operator [[m1, m2], [m2#, m1#]], a 2p x 2q matrix built
+    from two p x q blocks."""
+    m1, m2 = as_cmatrix(m1), as_cmatrix(m2)
+    if m1.shape != m2.shape:
+        raise ShapeMismatch(
+            f"blocks must share a shape; got {m1.shape} and {m2.shape}"
+        )
+    return np.block([[m1, m2], [m2.conj(), m1.conj()]])
 
 
 def homodyne_matrix(angles):
@@ -138,7 +73,6 @@ class QuantumPlant:
     D1: np.ndarray
     L: np.ndarray
     physically_realizable: bool = True
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("A", "B1", "B2", "C", "D1", "L"):
@@ -183,7 +117,6 @@ class CoherentController:
     D_c1: np.ndarray
     D_c2: np.ndarray
     physically_realizable: bool = True
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         blocks = "A_c B_c1 B_c2 Ct_c C_c Dt_c1 Dt_c2 D_c1 D_c2".split()
@@ -222,14 +155,13 @@ def squeezer_plant(beta, kappa, chi, L, strict=False):
     ok = _check_realizable(beta, kappa, strict, "squeezer loss/coupling mismatch")
     rk = np.sqrt(kappa)
     return QuantumPlant(
-        A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)).realization,
+        A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)),
         B1=-rk * np.eye(2),
         B2=np.zeros((2, 0)),
         C=rk * np.eye(2),
         D1=np.eye(2),
         L=np.atleast_2d(np.asarray(L, dtype=complex)),
         physically_realizable=ok,
-        params={"beta": beta, "kappa": kappa, "chi": chi},
     )
 
 
@@ -244,7 +176,7 @@ def squeezer_controller(beta_c, kappa_c, chi_c, strict=False):
     ok = _check_realizable(beta_c, kappa_c, strict, "controller loss/coupling mismatch")
     rk = np.sqrt(kappa_c)
     return CoherentController(
-        A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)).realization,
+        A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)),
         B_c1=np.zeros((2, 0)),
         B_c2=-rk * np.eye(2),
         Ct_c=rk * np.eye(2),
@@ -254,7 +186,6 @@ def squeezer_controller(beta_c, kappa_c, chi_c, strict=False):
         D_c1=np.zeros((0, 0)),
         D_c2=np.zeros((0, 2)),
         physically_realizable=ok,
-        params={"beta_c": beta_c, "kappa_c": kappa_c, "chi_c": chi_c},
     )
 
 
@@ -270,14 +201,13 @@ def feedback_squeezer_plant(beta, kappa1, kappa2, chi, L, strict=False):
         beta, kappa1 + kappa2, strict, "squeezer loss/coupling-sum mismatch"
     )
     return QuantumPlant(
-        A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)).realization,
+        A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)),
         B1=-np.sqrt(kappa1) * np.eye(2),
         B2=-np.sqrt(kappa2) * np.eye(2),
         C=np.sqrt(kappa1) * np.eye(2),
         D1=np.eye(2),
         L=np.atleast_2d(np.asarray(L, dtype=complex)),
         physically_realizable=ok,
-        params={"beta": beta, "kappa1": kappa1, "kappa2": kappa2, "chi": chi},
     )
 
 
@@ -298,7 +228,7 @@ def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False
         beta_c, kappa_c1 + kappa_c2, strict, "controller loss/coupling-sum mismatch"
     )
     return CoherentController(
-        A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)).realization,
+        A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)),
         B_c1=-np.sqrt(kappa_c1) * np.eye(2),
         B_c2=-np.sqrt(kappa_c2) * np.eye(2),
         Ct_c=np.sqrt(kappa_c1) * np.eye(2),
@@ -308,6 +238,4 @@ def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False
         D_c1=np.zeros((2, 2)),
         D_c2=np.eye(2),
         physically_realizable=ok,
-        params={"beta_c": beta_c, "kappa_c1": kappa_c1, "kappa_c2": kappa_c2,
-                "chi_c": chi_c},
     )

@@ -104,7 +104,6 @@ class Estimator:
     residual_x: float
     residual_y: float
     gain_convention: str = "reproduction"
-    params: dict = field(default_factory=dict)
 
 
 def assemble(system, u, S, gamma, eps1, eps2):

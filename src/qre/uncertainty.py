@@ -7,7 +7,7 @@ of powers of delta, so each block is a polynomial in delta with coefficient
 stacks ``UncertaintyModel.coefficients()``, evaluated by ``delta_powers``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +55,6 @@ class UncertaintyModel:
     f2_exponents: tuple
     f1_scale: float = 1.0
     f2_scale: float = 1.0
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("H1", "H2", "H3", "E", "G"):
@@ -123,7 +122,6 @@ def squeezer_uncertainty(alpha, mu):
         G=np.eye(2),
         f1_exponents=(1, 1, 2, 2),
         f2_exponents=(1, 1),
-        params={"alpha": alpha, "mu": mu},
     )
 
 

@@ -15,7 +15,10 @@ of a grid in turn.
 The series interconnection's own block formula, as qre built the series
 topology before it became the zero-port case of the coherent-feedback
 formula.  ``augment`` and ``lift_uncertainty`` must give the same matrices,
-up to the sign of a zero."""
+up to the sign of a zero.
+
+The structure checks of the doubled-up formalism, which the package builds
+its models in but never tests for itself."""
 
 from dataclasses import replace
 
@@ -28,6 +31,7 @@ from qre.errors import (
     QreError,
     ResidualTooLarge,
     ScalingTooLarge,
+    ShapeMismatch,
     SingularE2,
     SingularU1,
     UnstableEstimator,
@@ -38,8 +42,8 @@ from qre.linalg import (
     IMAG_AXIS_GAP,
     CareInstance,
     CareSolution,
+    _check_hermitian,
     as_cmatrix,
-    hermitian_inv_sqrt,
 )
 from qre.augmentation import AugmentedSystem
 from qre.synthesis import Estimator, ScaledProblem
@@ -199,6 +203,31 @@ def synthesize(p, gain_convention="reproduction", require_stable=False):
     )
 
 
+class NotPositiveDefinite(QreError):
+    """A matrix required to be Hermitian positive definite is not."""
+
+
+def hermitian_inv_sqrt(m):
+    """Inverse principal square root of a Hermitian positive definite matrix.
+
+    Returns P = m^(-1/2), Hermitian, with P @ m @ P = I.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the smallest eigenvalue is below 1e-12 times the largest.
+    """
+    m = as_cmatrix(m)
+    _check_hermitian(m, "matrix")
+    w, v = np.linalg.eigh(m)
+    if w[0] <= 1e-12 * max(w[-1], 0.0):
+        raise NotPositiveDefinite(
+            f"eigenvalue floor violated: min={w[0]:.3e}, max={w[-1]:.3e}"
+        )
+    p = (v / np.sqrt(w)) @ v.conj().T
+    return (p + p.conj().T) / 2
+
+
 def scaling_inv_sqrt(G, eps2):
     """(I - eps2^2 G^dag G)^(-1/2), failing when the scaling saturates."""
     G = as_cmatrix(G)
@@ -332,3 +361,33 @@ def series_lift(u, ctrl):
         H3=ctrl.Dt_c2 @ u.H3,
         E=np.hstack([u.E, np.zeros((u.E.shape[0], k))]),
     )
+
+
+def deinterleave(m):
+    """Reorder from mode-interleaved doubled coordinates (a1, a1#, a2,
+    a2#, ...) to block coordinates (a1, a2, ..., a1#, a2#, ...).
+
+    Composite systems built from per-mode doubled blocks carry the
+    conjugate-block structure in the interleaved ordering; this permutation
+    exposes it to :func:`is_doubled`.
+    """
+    m = as_cmatrix(m)
+    if m.shape[0] % 2 or m.shape[1] % 2:
+        raise ShapeMismatch(f"dimensions must be even: {m.shape}")
+    rows = np.r_[np.arange(0, m.shape[0], 2), np.arange(1, m.shape[0], 2)]
+    cols = np.r_[np.arange(0, m.shape[1], 2), np.arange(1, m.shape[1], 2)]
+    return m[np.ix_(rows, cols)]
+
+
+def is_doubled(m, tol=1e-10):
+    """True when m has the conjugate-block structure to tolerance."""
+    m = as_cmatrix(m)
+    if m.shape[0] % 2 or m.shape[1] % 2:
+        return False
+    p, q = m.shape[0] // 2, m.shape[1] // 2
+    scale = max(np.linalg.norm(m), 1.0)
+    err = max(
+        np.linalg.norm(m[p:, q:] - m[:p, :q].conj()),
+        np.linalg.norm(m[p:, :q] - m[:p, q:].conj()),
+    )
+    return bool(err <= tol * scale)

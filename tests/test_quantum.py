@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+from reference import is_doubled
 
 from qre.errors import DomainError, NotPhysicallyRealizable, ShapeMismatch
 from qre.quantum import (
     CoherentController,
-    DoubledOperator,
     QuantumPlant,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
     homodyne_matrix,
-    is_doubled,
     omega,
     squeezer_controller,
     squeezer_plant,
@@ -19,31 +18,24 @@ from qre.quantum import (
 class TestOmega:
     def test_identity_block(self):
         np.testing.assert_array_equal(
-            omega([[1.0]], [[0.0]]).realization, np.eye(2)
+            omega([[1.0]], [[0.0]]), np.eye(2)
         )
 
     def test_swap_block(self):
         np.testing.assert_array_equal(
-            omega([[0.0]], [[1.0]]).realization, np.array([[0, 1], [1, 0]])
+            omega([[0.0]], [[1.0]]), np.array([[0, 1], [1, 0]])
         )
 
     def test_squeezer_state_matrix(self):
         # loss 4, nonlinearity 0.5 -> diagonal -2, off-diagonal -0.5
         np.testing.assert_array_equal(
-            omega([[-2.0]], [[-0.5]]).realization,
+            omega([[-2.0]], [[-0.5]]),
             np.array([[-2, -0.5], [-0.5, -2]]),
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             omega(np.eye(2), np.eye(3))
-
-    def test_from_realization_roundtrip_and_reject(self):
-        d = omega([[1, 2j]], [[3, 4]])
-        d2 = DoubledOperator.from_realization(d.realization)
-        np.testing.assert_array_equal(d2.realization, d.realization)
-        with pytest.raises(ShapeMismatch):
-            DoubledOperator.from_realization(np.array([[1, 2], [3, 4]]))
 
 
 class TestDoubledClosure:
@@ -54,15 +46,15 @@ class TestDoubledClosure:
             a = omega(
                 rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)),
                 rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)),
-            ).realization
+            )
             b = omega(
                 rng.standard_normal((q, r)) + 1j * rng.standard_normal((q, r)),
                 rng.standard_normal((q, r)) + 1j * rng.standard_normal((q, r)),
-            ).realization
+            )
             c = omega(
                 rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)),
                 rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)),
-            ).realization
+            )
             assert is_doubled(a @ b)
             assert is_doubled(a + c)
 

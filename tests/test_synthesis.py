@@ -15,11 +15,9 @@ from qre import synthesis
 from qre.errors import CareFailure, QreError, ScalingTooLarge, ShapeMismatch
 from qre.quantum import (
     CoherentController,
-    deinterleave,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
     homodyne_matrix,
-    is_doubled,
     squeezer_controller,
     squeezer_plant,
 )
@@ -188,7 +186,7 @@ class TestSynthesize:
             feedback_study.estimator("classical"),
             feedback_study.estimator("coherent"),
         ):
-            assert is_doubled(deinterleave(est.A_K), tol=1e-10)
+            assert reference.is_doubled(reference.deinterleave(est.A_K), tol=1e-10)
             # gain rows come in conjugate pairs, one per mode
             np.testing.assert_allclose(
                 est.B_K[1::2], est.B_K[0::2].conj(), atol=1e-10
