@@ -120,34 +120,43 @@ def _residual(A, R, Q, X):
     return _frobenius(res) / (1 + _frobenius(Q))
 
 
+def _drop(out, live, ok, error, *arrays):
+    """Give each point j of a stack that is not ``ok`` its error(j), stored
+    at out[live[j]] (``out`` a list, an object array or a dict), and return
+    ``live`` and ``arrays`` without those points."""
+    if ok.all():
+        return (live, *arrays)
+    for j in np.flatnonzero(~ok):
+        out[int(live[j])] = error(j)
+    return tuple(x[ok] for x in (live, *arrays))
+
+
 def _solve_cares(A, R, Q):
     """Stabilizing solutions of K canonical CAREs, each solved as
     ``solve_care`` solves one.  A, R, Q are (K, n, n) stacks, or (n, n)
     matrices shared by all K, at least one of them being a stack.
 
-    Returns a list of K outcomes, a CareSolution or the error its CARE would
-    raise.  The gates run per CARE, in ``solve_care``'s order; a CARE that
-    fails one carries its own error and leaves the stack, and the rest go on
-    without it.  Non-finite or non-Hermitian R, Q give a ValueError.  The
-    CAREs whose A, R and Q have no imaginary part are solved as one stack in
-    real arithmetic, the others as one in complex.
+    Returns an object array of K outcomes, a CareSolution or the error its
+    CARE would raise.  The gates run per CARE, in ``solve_care``'s order; a
+    CARE that fails one carries its own error and leaves the stack, and the
+    rest go on without it.  Non-finite or non-Hermitian R, Q give a
+    ValueError.  The CAREs whose A, R and Q have no imaginary part are
+    solved as one stack in real arithmetic, the others as one in complex.
     """
     A, R, Q = np.broadcast_arrays(A, R, Q)
-    out = [None] * len(A)
+    out = np.empty(len(A), dtype=object)
     finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
     skew_r, skew_q = _not_hermitian(np.stack([R, Q]))
     ok = finite & ~skew_r & ~skew_q
-    for j in np.flatnonzero(~ok):
-        out[j] = ValueError(
-            "matrix contains NaN or Inf entries" if not finite[j]
-            else f"{'R' if skew_r[j] else 'Q'} is not Hermitian to tolerance"
-        )
+    live, A, R, Q = _drop(out, np.arange(len(A)), ok, lambda j: ValueError(
+        "matrix contains NaN or Inf entries" if not finite[j]
+        else f"{'R' if skew_r[j] else 'Q'} is not Hermitian to tolerance"
+    ), A, R, Q)
     real = ~(A.imag.any(axis=(1, 2)) | R.imag.any(axis=(1, 2))
              | Q.imag.any(axis=(1, 2)))
-    for part, take in ((ok & real, np.real), (ok & ~real, np.asarray)):
+    for part, take in ((real, np.real), (~real, np.asarray)):
         if part.any():
-            _solve_stack(out, np.flatnonzero(part),
-                         *(take(x)[part] for x in (A, R, Q)))
+            _solve_stack(out, live[part], *(take(x)[part] for x in (A, R, Q)))
     return out
 
 
@@ -155,15 +164,6 @@ def _solve_stack(out, live, A, R, Q):
     """Solve the CAREs of the (K, n, n) stacks A, R, Q, all real or all
     complex, and put each outcome at out[live[j]]."""
     n = A.shape[1]
-
-    def failed(ok, error):
-        """Give each CARE not ``ok`` its error(j); True if there was one."""
-        if ok.all():
-            return False
-        for j in np.flatnonzero(~ok):
-            out[live[j]] = error(j)
-        return True
-
     H = np.empty((len(live), 2 * n, 2 * n), dtype=A.dtype)
     H[:, :n, :n], H[:, :n, n:] = A, R
     np.negative(Q, out=H[:, n:, :n])
@@ -180,17 +180,14 @@ def _solve_stack(out, live, A, R, Q):
     gap = np.abs(lam.real).min(axis=1)
     stable = lam.real < 0
     sdim = stable.sum(axis=1)
-    ok = gap >= IMAG_AXIS_GAP
-    failed(ok, lambda j: ImaginaryAxisEigenvalue(
-        f"Hamiltonian eigenvalue within {gap[j]:.3e} of the imaginary axis"
-    ))
-    dim = ok & (sdim != n)
-    failed(~dim, lambda j: ImaginaryAxisEigenvalue(
-        f"stable invariant subspace has dimension {sdim[j]}, expected {n}"
-    ))
-    ok &= ~dim
-    if not ok.all():
-        live, A, R, Q, stable, V = (x[ok] for x in (live, A, R, Q, stable, V))
+    live, A, R, Q, stable, V, sdim = _drop(
+        out, live, gap >= IMAG_AXIS_GAP, lambda j: ImaginaryAxisEigenvalue(
+            f"Hamiltonian eigenvalue within {gap[j]:.3e} of the imaginary axis"
+        ), A, R, Q, stable, V, sdim)
+    live, A, R, Q, stable, V = _drop(
+        out, live, sdim == n, lambda j: ImaginaryAxisEigenvalue(
+            f"stable invariant subspace has dimension {sdim[j]}, expected {n}"
+        ), A, R, Q, stable, V)
 
     # the n stable eigenvectors of each Hamiltonian, in their original order
     V = V.swapaxes(1, 2)[stable].reshape(-1, n, 2 * n).swapaxes(1, 2)
@@ -198,9 +195,9 @@ def _solve_stack(out, live, A, R, Q):
     del V
     U1, U2 = U[:, :n], U[:, n:]
     cond = np.linalg.cond(U1)
-    ok = np.isfinite(cond) & (cond <= 1e12)
-    if failed(ok, lambda j: SingularU1(f"U1 condition number {cond[j]:.3e}")):
-        live, A, R, Q, U1, U2 = (x[ok] for x in (live, A, R, Q, U1, U2))
+    live, A, R, Q, U1, U2 = _drop(
+        out, live, np.isfinite(cond) & (cond <= 1e12),
+        lambda j: SingularU1(f"U1 condition number {cond[j]:.3e}"), A, R, Q, U1, U2)
     X = U2 @ np.linalg.inv(U1)
     X = (X + _conj_t(X)) / 2
 
@@ -220,33 +217,30 @@ def _solve_stack(out, live, A, R, Q):
         X = np.linalg.solve(kron, rhs)
     except np.linalg.LinAlgError:
         # a singular step fails its own CARE only
-        X = np.empty_like(rhs)
-        ok = np.ones(len(live), dtype=bool)
+        X, errors = np.empty_like(rhs), {}
         for j in range(len(live)):
             try:
                 X[j] = np.linalg.solve(kron[j], rhs[j])
             except np.linalg.LinAlgError as exc:
-                ok[j] = False
-                out[live[j]] = ResidualTooLarge(f"Kleinman step: {exc}")
-        live, A, R, Q, X = (x[ok] for x in (live, A, R, Q, X))
+                errors[j] = ResidualTooLarge(f"Kleinman step: {exc}")
+        ok = np.array([j not in errors for j in range(len(live))], dtype=bool)
+        live, A, R, Q, X = _drop(out, live, ok, errors.get, A, R, Q, X)
     del kron, rhs
     X = X.reshape(-1, n, n)
     X = (X + _conj_t(X)) / 2
 
     res = _residual(A, R, Q, X)
-    ok = res <= CARE_RESIDUAL_TOL
-    if failed(ok, lambda j: ResidualTooLarge(
-        f"relative residual {res[j]:.3e} > {CARE_RESIDUAL_TOL:.1e}"
-    )):
-        live, A, R, X, res = (x[ok] for x in (live, A, R, X, res))
+    live, A, R, X, res = _drop(
+        out, live, res <= CARE_RESIDUAL_TOL, lambda j: ResidualTooLarge(
+            f"relative residual {res[j]:.3e} > {CARE_RESIDUAL_TOL:.1e}"
+        ), A, R, X, res)
     abscissa = np.linalg.eigvals(A + R @ X).real.max(axis=1)
-    ok = abscissa < 0
-    failed(ok, lambda j: UnstableSystem(
+    live, X, res, abscissa = _drop(out, live, abscissa < 0, lambda j: UnstableSystem(
         f"closed-loop abscissa {abscissa[j]:.3e} is not negative"
-    ))
+    ), X, res, abscissa)
     X = X.astype(complex, copy=False)
-    for j in np.flatnonzero(ok):
-        out[live[j]] = CareSolution(
+    for j, r in enumerate(live):
+        out[r] = CareSolution(
             X=X[j], residual=float(res[j]), closed_loop_abscissa=float(abscissa[j])
         )
 

@@ -161,6 +161,20 @@ class Study:
         )
 
 
+def _numeric(value, key, ndim=0, kinds="iuf"):
+    """A config value as a float (ndim 0) or an array of at most ``ndim``
+    axes of numbers of the numpy ``kinds``; anything else raises a
+    ValueError that names ``key``."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = np.asarray(None)
+    if a.dtype.kind not in kinds or a.ndim > ndim:
+        what = "a number" if ndim == 0 else "a list of numbers"
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return float(a) if ndim == 0 else a
+
+
 def build_study(config):
     """Assemble a Study from a configuration mapping.
 
@@ -169,7 +183,8 @@ def build_study(config):
     or ``coherent_classical_fb``) plus plant/controller parameter groups,
     homodyne angles in degrees, and the scaling parameters gamma, eps1,
     eps2.  A true ``strict_pr`` entry rejects physically unrealizable
-    plant/controller parameters.
+    plant/controller parameters.  A value that is not a number, or an L
+    without a column per plant state, raises a ValueError naming its key.
     """
     topology = config["topology"]
     if topology not in (
@@ -180,40 +195,36 @@ def build_study(config):
     ):
         raise ValueError(f"unknown topology {topology!r}")
     strict_pr = bool(config.get("strict_pr", False))
-    pc = config["plant"]
-    angles = np.deg2rad(np.atleast_1d(config["homodyne_angles_deg"]))
-    S = homodyne_matrix(angles)
-    mu = float(config["mu"])
-    gamma = float(config["gamma"])
-    eps1 = float(config["eps1"])
-    eps2 = float(config["eps2"])
+    angles = _numeric(config["homodyne_angles_deg"], "homodyne_angles_deg", ndim=1)
+    S = homodyne_matrix(np.deg2rad(np.atleast_1d(angles)))
+    mu, gamma, eps1, eps2 = (
+        _numeric(config[k], k) for k in ("mu", "gamma", "eps1", "eps2")
+    )
 
     feedback = topology.endswith("_fb")
+    pc = {k: _numeric(config["plant"][k], f"plant.{k}") for k in (
+        ("beta", "kappa1", "kappa2", "chi") if feedback else ("beta", "kappa", "chi")
+    )}
+    L = _numeric(config["plant"]["L"], "plant.L", ndim=2, kinds="iufc")
+    if np.atleast_2d(L).shape[1] != 2:
+        raise ValueError(f"plant.L must have a column per plant state (2), "
+                         f"got {config['plant']['L']!r}")
     if feedback:
-        plant = feedback_squeezer_plant(
-            pc["beta"], pc["kappa1"], pc["kappa2"], pc["chi"], pc["L"],
-            strict=strict_pr,
-        )
+        plant = feedback_squeezer_plant(**pc, L=L, strict=strict_pr)
         alpha = np.sqrt(pc["kappa1"])
     else:
-        plant = squeezer_plant(
-            pc["beta"], pc["kappa"], pc["chi"], pc["L"], strict=strict_pr
-        )
+        plant = squeezer_plant(**pc, L=L, strict=strict_pr)
         alpha = np.sqrt(pc["kappa"])
     u = squeezer_uncertainty(alpha, mu)
 
     controller = augmented = lifted = None
     if topology.startswith("coherent"):
-        cc = config["controller"]
-        if feedback:
-            controller = feedback_squeezer_controller(
-                cc["beta_c"], cc["kappa_c1"], cc["kappa_c2"], cc["chi_c"],
-                strict=strict_pr,
-            )
-        else:
-            controller = squeezer_controller(
-                cc["beta_c"], cc["kappa_c"], cc["chi_c"], strict=strict_pr
-            )
+        cc = {k: _numeric(config["controller"][k], f"controller.{k}") for k in (
+            ("beta_c", "kappa_c1", "kappa_c2", "chi_c") if feedback
+            else ("beta_c", "kappa_c", "chi_c")
+        )}
+        factory = feedback_squeezer_controller if feedback else squeezer_controller
+        controller = factory(**cc, strict=strict_pr)
         augmented = augment(plant, controller)
         lifted = lift_uncertainty(u, controller, plant)
     for system in (plant, augmented):
@@ -231,7 +242,7 @@ def build_study(config):
         gamma=gamma,
         eps1=eps1,
         eps2=eps2,
-        delta_design=float(config.get("delta_design", -1.0)),
+        delta_design=_numeric(config.get("delta_design", -1.0), "delta_design"),
         augmented=augmented,
         lifted=lifted,
     )

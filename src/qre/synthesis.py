@@ -10,8 +10,11 @@ Both work on stacks of problems of one shape: ``assemble`` given arrays of
 eps1 and eps2 builds their problems as one ``ScaledProblem`` stack, with
 one eigen-solve per distinct eps2, as ``eps_grid_search`` asks for each
 block of its grid, and each Riccati equation of a stack is one stacked
-solve (``linalg``).  A point that fails a gate carries its own error out of
-either stack.  Scalar eps1, eps2 and ``synthesize`` are the K = 1 case.
+solve (``linalg``).  A stack of K problems has (K, p, q) matrices and (K,)
+scalars, and ``s[j]`` is its problem j.  Every stage drops a point that
+fails a gate the same way (``linalg._drop``): the point's error becomes its
+outcome and the stack goes on without it.  Scalar eps1, eps2 and
+``synthesize`` are the K = 1 case.
 
 Two gain conventions are supported for the measurement-injection gain B_K.
 The "reproduction" convention uses a gamma^-2 prefactor on the coupling term
@@ -37,6 +40,7 @@ from .errors import (
 from .linalg import (
     CareSolution,
     _conj_t,
+    _drop,
     _frobenius,
     _residual,
     _solve_cares,
@@ -61,10 +65,11 @@ class ScaledProblem:
     C1bar, D12bar, D21bar the scaled disturbance/penalty maps; E1bar and
     E2bar the control- and measurement-weighting Gramians.
 
-    In a stack of K problems gamma, eps1 and eps2 are (K,) arrays and each
-    matrix a (K, p, q) stack, or one (p, q) matrix shared by all K.
-    ``failures`` maps the position of each point ``assemble`` was given
-    that failed a gate to its error.
+    One problem has (p, q) matrices and float gamma, eps1, eps2; a stack of
+    K problems has (K, p, q) matrices and (K,) arrays, and ``s[index]`` (a
+    position, a mask or positions) is its problem or sub-stack there, with
+    no failures.  ``failures`` maps the position of each point ``assemble``
+    was given that failed a gate to its error.
     """
 
     Abar: np.ndarray
@@ -84,6 +89,12 @@ class ScaledProblem:
     @property
     def n(self):
         return self.Abar.shape[-1]
+
+    def __getitem__(self, index):
+        return replace(self, failures={}, **{
+            f.name: getattr(self, f.name)[index] for f in fields(self)
+            if f.name != "failures"
+        })
 
 
 @dataclass(frozen=True)
@@ -146,22 +157,12 @@ def assemble(system, u, S, gamma, eps1, eps2):
     e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
     one_point = e1.ndim == e2.ndim == 0
     e1, e2 = np.atleast_1d(e1, e2)
-    failures, live = {}, np.arange(e1.size)
-
-    def failed(ok, error):
-        """Give each point not ``ok`` its error(j); True if there was one."""
-        if ok.all():
-            return False
-        for j in np.flatnonzero(~ok):
-            failures[int(live[j])] = error(j)
-        return True
-
+    failures = {}
     ok = np.isfinite(e1) & (e1 > 0) & np.isfinite(e2) & (e2 > 0)
     ok &= bool(np.isfinite(gamma) and gamma > 0)
-    if failed(ok, lambda j: QreError(
+    live, e1, e2 = _drop(failures, np.arange(e1.size), ok, lambda j: QreError(
         "gamma, eps1, eps2 must all be positive and finite"
-    )):
-        live, e1, e2 = live[ok], e1[ok], e2[ok]
+    ), e1, e2)
 
     # I - eps2^2 G^dag G and its inverse root from one eigh per distinct
     # eps2, numbered in ``slot``; float_power is C pow, as a float's ** is,
@@ -172,11 +173,9 @@ def assemble(system, u, S, gamma, eps1, eps2):
         np.eye(m) - np.float_power(list(slot), 2)[:, None, None] * _conj_t(G) @ G
     )
     unsaturated = ~(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
-    ok = unsaturated[at]
-    if failed(ok, lambda j: ScalingTooLarge(
-        f"I - eps2^2 G^dag G has minimum eigenvalue {w[at[j], 0]:.3e}"
-    )):
-        live, e1, e2, at = live[ok], e1[ok], e2[ok], at[ok]
+    live, e1, e2, at = _drop(failures, live, unsaturated[at], lambda j: (
+        ScalingTooLarge(f"I - eps2^2 G^dag G has minimum eigenvalue {w[at[j], 0]:.3e}")
+    ), e1, e2, at)
     # no point reads the root of a saturated eps2: 1 keeps it finite
     Mis = (v / np.sqrt(np.where(unsaturated[:, None], w, 1.0))[:, None, :]) @ _conj_t(v)
     Mis = (Mis + _conj_t(Mis)) / 2
@@ -188,14 +187,12 @@ def assemble(system, u, S, gamma, eps1, eps2):
     E2bar = (E2bar + _conj_t(E2bar)) / 2
     w = np.linalg.eigvalsh(E2bar)
     ok = ~(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
-    if failed(ok, lambda j: SingularE2(
+    live, e1, e2, at, E2bar = _drop(failures, live, ok, lambda j: SingularE2(
         f"measurement weighting has eigenvalue {w[j, 0]:.3e}"
-    )):
-        e1, e2, at, E2bar = e1[ok], e2[ok], at[ok], E2bar[ok]
+    ), e1, e2, at, E2bar)
 
     k, r2p, l = e1.size, G.shape[0], L.shape[0]
     g1, g2 = (gamma / e[:, None, None] for e in (e1, e2))
-    D12bar = np.vstack([np.zeros((E.shape[0] + r2p, l)), -np.eye(l)])
     point = dict(
         B1bar=np.concatenate([(B @ Mis)[at], g1 * H1, g2 * H2], axis=-1),
         C1bar=np.concatenate([e1[:, None, None] * E, np.zeros((k, r2p, n)),
@@ -206,20 +203,19 @@ def assemble(system, u, S, gamma, eps1, eps2):
     )
     if not all(np.isfinite(x).all() for x in point.values()):
         raise ValueError("matrix contains NaN or Inf entries")
-    point.update(gamma=np.full(k, float(gamma)), eps1=e1, eps2=e2)
-    if one_point:
-        if failures:
-            raise failures.pop(0)
-        point = {key: x[0] if x.ndim == 3 else float(x[0]) for key, x in point.items()}
-    return ScaledProblem(
-        Abar=A,
-        C2bar=C,
-        Sbar=S,
-        D12bar=np.asarray(D12bar, dtype=complex),
-        E1bar=np.asarray(D12bar.T @ D12bar, dtype=complex),
-        failures=failures,
-        **point,
+    # the matrices every point shares, given the stack's K axis
+    D12bar = np.vstack([np.zeros((E.shape[0] + r2p, l)), -np.eye(l)])
+    shared = dict(Abar=A, C2bar=C, Sbar=S, D12bar=D12bar, E1bar=D12bar.T @ D12bar)
+    s = ScaledProblem(
+        **{key: np.broadcast_to(np.asarray(x, dtype=complex), (k,) + x.shape)
+           for key, x in shared.items()},
+        **point, gamma=np.full(k, float(gamma)), eps1=e1, eps2=e2, failures=failures,
     )
+    if not one_point:
+        return s
+    if failures:
+        raise failures.pop(0)
+    return s[0]
 
 
 # the benchmark's design workload (benchmarks/workloads.py) calls these names
@@ -231,15 +227,18 @@ assemble_classical = assemble_feedback_classical = assemble_augmented = assemble
 GRID_BLOCK = 81
 
 
-def _solve(a, b):
-    """a^-1 b for matrices or stacks of them; b is never read as a stack of
-    vectors, which numpy before 2.0 does where b has one axis fewer than a."""
-    return np.linalg.solve(a, b[None] if b.ndim < a.ndim else b)
-
-
 def _gamma(p):
     """gamma, per problem of a stack, shaped to broadcast against matrices."""
     return np.asarray(p.gamma)[..., None, None]
+
+
+def _state_equation(p):
+    """A, R, Q of the state Riccati equation in canonical form."""
+    P = np.eye(p.C1bar.shape[-2]) - p.D12bar @ np.linalg.solve(
+        p.E1bar, _conj_t(p.D12bar)
+    )
+    R = p.B1bar @ _conj_t(p.B1bar) / _gamma(p) ** 2
+    return p.Abar, R, _conj_t(p.C1bar) @ P @ p.C1bar
 
 
 def riccati_residual_x(p, X):
@@ -249,9 +248,7 @@ def riccati_residual_x(p, X):
 
     ``p`` may also be a stack of problems, as synthesized over a grid, and
     X the stack of their solutions; the residuals are then an array."""
-    P = np.eye(p.C1bar.shape[-2]) - p.D12bar @ _solve(p.E1bar, _conj_t(p.D12bar))
-    R = p.B1bar @ _conj_t(p.B1bar) / _gamma(p) ** 2
-    return _residual(p.Abar, R, _conj_t(p.C1bar) @ P @ p.C1bar, X)
+    return _residual(*_state_equation(p), X)
 
 
 def riccati_residual_y(p, Y):
@@ -263,7 +260,7 @@ def riccati_residual_y(p, Y):
     Takes stacks as ``riccati_residual_x`` does."""
     g = _gamma(p)
     T = p.B1bar @ _conj_t(p.D21bar) / g + g * Y @ _conj_t(p.C2bar)
-    W = _conj_t(p.Sbar) @ _solve(p.E2bar, p.Sbar)
+    W = _conj_t(p.Sbar) @ np.linalg.solve(p.E2bar, p.Sbar)
     const = p.B1bar @ _conj_t(p.B1bar) / g**2
     res = (
         p.Abar @ Y
@@ -276,29 +273,30 @@ def riccati_residual_y(p, Y):
 
 
 def _stack(problems):
-    """The points of ``problems``, each a problem or a stack, as one stack.
-    A matrix that is the same object in all of them stays one matrix; the
-    stack carries no failures."""
-    k = [np.size(p.gamma) for p in problems]
-    joined = {}
-    for f in fields(ScaledProblem):
-        ms = [getattr(p, f.name) for p in problems]
-        if f.type is float:
-            joined[f.name] = np.concatenate([np.atleast_1d(x) for x in ms])
-        elif f.type is np.ndarray:
-            joined[f.name] = ms[0] if all(x is ms[0] for x in ms) else np.concatenate(
-                [np.broadcast_to(x, (kp,) + x.shape[-2:]) for x, kp in zip(ms, k)]
-            )
-    return ScaledProblem(**joined)
-
-
-def _take(s, index):
-    """The problems of the stack ``s`` at ``index``, a mask or positions,
-    with no failures; the matrices shared by all of them stay shared."""
-    return replace(s, failures={}, **{
-        f.name: getattr(s, f.name)[index] for f in fields(s)
-        if np.ndim(getattr(s, f.name)) in (1, 3)
+    """The problems ``problems``, each one problem, as one stack with no
+    failures."""
+    return ScaledProblem(**{
+        f.name: np.stack([getattr(p, f.name) for p in problems])
+        for f in fields(ScaledProblem) if f.name != "failures"
     })
+
+
+def _riccati(out, live, which, A, R, Q, *arrays):
+    """One CARE per live problem, R and Q taken Hermitian; a failure is its
+    problem's outcome, a QreError as the CareFailure of the equation
+    ``which``.  Returns ``live``, the solutions and ``arrays`` without the
+    failed problems."""
+    got = _solve_cares(A, (R + _conj_t(R)) / 2, (Q + _conj_t(Q)) / 2)
+
+    def error(j):
+        if not isinstance(got[j], QreError):
+            return got[j]
+        failure = CareFailure(which, got[j])
+        failure.__cause__ = got[j]
+        return failure
+
+    ok = np.array([isinstance(x, CareSolution) for x in got], dtype=bool)
+    return _drop(out, live, ok, error, got, *arrays)
 
 
 def _synthesize(s, gain_convention="reproduction", require_stable=False):
@@ -313,36 +311,8 @@ def _synthesize(s, gain_convention="reproduction", require_stable=False):
     if gain_convention not in ("reproduction", "theorem"):
         raise QreError(f"unknown gain convention {gain_convention!r}")
     out = [None] * len(s.gamma)
-    if not out:
-        return out
-    rows = np.arange(len(out))
-    sols = {"X": {}, "Y": {}}
-
-    def solve(which, A, R, Q):
-        """One CARE per live problem; a failure is the problem's outcome."""
-        nonlocal rows, s
-        got = _solve_cares(A, (R + _conj_t(R)) / 2, (Q + _conj_t(Q)) / 2)
-        for r, sol in zip(rows, got):
-            if isinstance(sol, CareSolution):
-                sols[which][r] = sol
-            elif isinstance(sol, QreError):
-                out[r] = CareFailure(which, sol)
-                out[r].__cause__ = sol
-            else:
-                out[r] = sol
-        ok = np.array([r in sols[which] for r in rows], dtype=bool)
-        if not ok.all():
-            rows, s = rows[ok], _take(s, ok)
-
-    # state equation in canonical form
-    P = np.eye(s.C1bar.shape[-2]) - s.D12bar @ _solve(s.E1bar, _conj_t(s.D12bar))
-    solve(
-        "X",
-        s.Abar,
-        s.B1bar @ _conj_t(s.B1bar) / _gamma(s) ** 2,
-        _conj_t(s.C1bar) @ P @ s.C1bar,
-    )
-    if not rows.size:
+    live, xs, s = _riccati(out, np.arange(len(out)), "X", *_state_equation(s), s)
+    if not live.size:
         return out
 
     # output-injection equation regrouped into the same canonical form:
@@ -353,46 +323,42 @@ def _synthesize(s, gain_convention="reproduction", require_stable=False):
     # the equation reads Ap Y + Y Ap^dag + Y Rp Y + Qp = 0, i.e. the
     # canonical form with state matrix Ap^dag.
     B1, C1, C2, D21, g2 = s.B1bar, s.C1bar, s.C2bar, s.D21bar, _gamma(s) ** 2
-    M = _conj_t(s.Sbar) @ _solve(s.E2bar, s.Sbar)
+    M = _conj_t(s.Sbar) @ np.linalg.solve(s.E2bar, s.Sbar)
     Ap = s.Abar - B1 @ _conj_t(D21) @ M @ C2
     Rp = _conj_t(C1) @ C1 - g2 * _conj_t(C2) @ M @ C2
     Qp = (B1 @ (np.eye(B1.shape[-1]) - _conj_t(D21) @ M @ D21) @ _conj_t(B1)) / g2
-    solve("Y", _conj_t(Ap), Rp, Qp)
-    if not rows.size:
+    live, ys, s, xs = _riccati(out, live, "Y", _conj_t(Ap), Rp, Qp, s, xs)
+    if not live.size:
         return out
 
-    X, Y = (np.stack([sols[w][r].X for r in rows]) for w in "XY")
+    X, Y = (np.stack([sol.X for sol in sols]) for sols in (xs, ys))
     coupling = np.eye(X.shape[-1]) - Y @ X
     cond = np.linalg.cond(coupling)
-    ok = np.isfinite(cond) & (cond <= 1e12)
-    for j in np.flatnonzero(~ok):
-        out[rows[j]] = CouplingSingular(f"I - YX has condition number {cond[j]:.3e}")
-    if not ok.all():
-        rows, s, X, Y, coupling, cond = (
-            rows[ok], _take(s, ok), X[ok], Y[ok], coupling[ok], cond[ok]
-        )
+    live, s, xs, ys, X, Y, coupling, cond = _drop(
+        out, live, np.isfinite(cond) & (cond <= 1e12), lambda j: CouplingSingular(
+            f"I - YX has condition number {cond[j]:.3e}"
+        ), s, xs, ys, X, Y, coupling, cond)
 
     B1, C2, D21, S, g2 = s.B1bar, s.C2bar, s.D21bar, s.Sbar, _gamma(s) ** 2
     prefactor = 1 / g2 if gain_convention == "reproduction" else g2
-    BK = prefactor * _solve(coupling, (
+    BK = prefactor * np.linalg.solve(coupling, (
         Y @ _conj_t(C2) @ _conj_t(S) + B1 @ _conj_t(D21) @ _conj_t(S) / g2
     )) @ np.linalg.inv(s.E2bar)
     AK = s.Abar - BK @ S @ C2 + (B1 - BK @ S @ D21) @ _conj_t(B1) @ X / g2
-    CK = -_solve(s.E1bar, _conj_t(s.D12bar)) @ s.C1bar
+    CK = -np.linalg.solve(s.E1bar, _conj_t(s.D12bar)) @ s.C1bar
     abscissa = np.linalg.eigvals(AK).real.max(axis=-1)
     res_x, res_y = riccati_residual_x(s, X), riccati_residual_y(s, Y)
-    for j, r in enumerate(rows):
-        if require_stable and not abscissa[j] < 0:
-            out[r] = UnstableEstimator(
-                f"estimator spectral abscissa {abscissa[j]:.4f} is not negative"
-            )
-            continue
+    live, s, xs, ys, AK, BK, CK, abscissa, cond, res_x, res_y = _drop(
+        out, live, (abscissa < 0) | (not require_stable), lambda j: UnstableEstimator(
+            f"estimator spectral abscissa {abscissa[j]:.4f} is not negative"
+        ), s, xs, ys, AK, BK, CK, abscissa, cond, res_x, res_y)
+    for j, r in enumerate(live):
         out[r] = Estimator(
             A_K=AK[j],
             B_K=BK[j],
-            C_K=CK[j] if CK.ndim == 3 else CK,
-            X=sols["X"][r],
-            Y=sols["Y"][r],
+            C_K=CK[j],
+            X=xs[j],
+            Y=ys[j],
             gamma=float(s.gamma[j]),
             eps1=float(s.eps1[j]),
             eps2=float(s.eps2[j]),

@@ -177,8 +177,9 @@ class TestSweepCommand:
 
 
 class TestConfigErrors:
-    """A bad grid or angle list is a configuration error that names its
-    key, not a numpy error, an analysis error or an empty output."""
+    """A bad grid, angle list, parameter or estimand is a configuration
+    error that names its key, not a numpy error, an analysis error or an
+    empty output.  A dotted key names an entry of a group."""
 
     @pytest.mark.parametrize(
         "command, key, value, message",
@@ -194,14 +195,26 @@ class TestConfigErrors:
              "frequency_grid.points must be a whole number >= 1, got 0"),
             ("bode", "frequency_grid", [0.01, 100.0, 25],
              "frequency_grid must map min, max and points"),
+            ("synthesize", "homodyne_angles_deg", ["ten"],
+             "homodyne_angles_deg must be a list of numbers, got ['ten']"),
+            ("synthesize", "plant.beta", "four",
+             "plant.beta must be a number, got 'four'"),
+            ("synthesize", "plant.chi", "x", "plant.chi must be a number, got 'x'"),
+            ("synthesize", "controller.kappa_c", [1, 2],
+             "controller.kappa_c must be a number, got [1, 2]"),
+            ("synthesize", "mu", [0.1], "mu must be a number, got [0.1]"),
+            ("synthesize", "plant.L", [0.1, -0.1, 3],
+             "plant.L must have a column per plant state (2), got [0.1, -0.1, 3]"),
         ],
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
-             "grid-not-a-mapping"],
+             "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
+             "chi-not-a-number", "kappa_c-a-list", "mu-a-list", "L-three-entries"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):
         cfg = series_benchmark_config()
-        cfg[key] = value
+        *group, name = key.split(".")
+        (cfg[group[0]] if group else cfg)[name] = value
         rc = main([command, "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path)])
         assert rc == 2

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 from itertools import count
 from types import SimpleNamespace
 from unittest import mock
@@ -574,7 +575,7 @@ def assert_assembly_matches_reference(system, u, S, gamma, eps1, eps2):
     classes = []
     for j, (e1, e2) in enumerate(zip(eps1.tolist(), eps2.tolist())):
         want = reference.outcome(reference.assemble, system, u, S, gamma, e1, e2)
-        got = s.failures[j] if j in s.failures else synthesis._take(s, next(assembled))
+        got = s.failures[j] if j in s.failures else s[next(assembled)]
         reference.assert_same_outcome(got, want)
         reference.assert_same_outcome(
             reference.outcome(assemble, system, u, S, gamma, e1, e2), want
@@ -604,6 +605,19 @@ class TestStackedAssembly:
                 # benchmark synthesizes the other 72 points of each grid
                 assert classes.count("ScaledProblem") == 72
                 assert classes.count("ScalingTooLarge") == 9
+
+    def test_every_field_has_the_stack_axis(self, series_study, feedback_study):
+        # one stack format: every matrix, shared by the points or not, and
+        # gamma, eps1, eps2 lead with the axis of the K points assembled
+        grid = row_major(np.logspace(-2, 0, 9), np.logspace(-2, 0, 9))
+        for study in (series_study, feedback_study):
+            for system, u in study.channels.values():
+                s = assemble(system, u, study.S, study.gamma, *grid)
+                for f in fields(s):
+                    x = getattr(s, f.name)
+                    if isinstance(x, np.ndarray):
+                        assert x.shape[0] == 72, f.name
+                        assert x.ndim == (1 if f.type is float else 3), f.name
 
     def test_every_gate_in_one_block(self, series_parts):
         plant, u, S = series_parts
