@@ -27,6 +27,7 @@ from .errors import (
     ScalingTooLarge,
 )
 from .presets import (
+    _numeric,
     build_study,
     feedback_benchmark_config,
     series_benchmark_config,
@@ -81,10 +82,12 @@ def _grid(config, key, defaults):
     if not isinstance(g, dict):
         raise ValueError(f"{key} must map min, max and points")
     g = dict(zip(("min", "max", "points"), defaults), **g)
-    n = g["points"]
-    if not (isinstance(n, (int, float)) and n >= 1 and n % 1 == 0):
-        raise ValueError(f"{key}.points must be a whole number >= 1, got {n!r}")
-    return float(g["min"]), float(g["max"]), int(n)
+    lo, hi, n = (_numeric(g[k], f"{key}.{k}") for k in ("min", "max", "points"))
+    if not (n >= 1 and n % 1 == 0):
+        raise ValueError(
+            f"{key}.points must be a whole number >= 1, got {g['points']!r}"
+        )
+    return lo, hi, int(n)
 
 
 def _frequency_grid(config):

@@ -42,12 +42,13 @@ class SingularE2(QreError):
 
 
 class CareFailure(QreError):
-    """An ARE solve failed; carries which equation (X or Y) was involved."""
+    """An ARE solve failed; carries which equation (X or Y) was involved,
+    and its cause, which is also its ``__cause__``."""
 
     def __init__(self, which, cause):
         super().__init__(f"ARE for {which} failed: {cause}")
         self.which = which
-        self.cause = cause
+        self.cause = self.__cause__ = cause
 
 
 class CouplingSingular(QreError):

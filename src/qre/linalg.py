@@ -2,14 +2,16 @@
 Hermitian), solved in numpy alone from the Hamiltonian's stable
 eigenvectors and one Kronecker-system Kleinman step.
 
-The CARE solver works on a stack of K equations of one size, every gate
+The CARE solver works on a (K, n, n) stack of K equations, every gate
 applied to each; ``synthesis`` solves a grid's equations as one stack, and
-``solve_care`` is the K = 1 case.  Each equation whose A, R and Q have no
-imaginary part is solved in real arithmetic throughout (the Hamiltonian's
-eig, the QR, U2 U1^-1, the Kleinman step, the residual and the closed-loop
-eigenvalues), the others in complex; a stack holding both is solved as two,
-so an equation's result never depends on the rest of its stack.  The
-solution X is complex128 either way.
+``solve_care`` is the K = 1 case.  It takes R and Q finite and Hermitian,
+as ``CareInstance`` checks them and ``synthesis`` builds them, and every
+equation takes the Kleinman step (``solve_care`` says why).  Each equation
+whose A, R and Q have no imaginary part is solved in real arithmetic
+throughout (the Hamiltonian's eig, the QR, U2 U1^-1, the Kleinman step, the
+residual and the closed-loop eigenvalues), the others in complex; a stack
+holding both is solved as two, so an equation's result never depends on
+the rest of its stack.  The solution X is complex128 either way.
 """
 
 from dataclasses import dataclass
@@ -62,14 +64,9 @@ def _frobenius(m):
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
-def _not_hermitian(m):
-    """Whether each matrix of a (..., n, n) stack misses Hermiticity."""
-    size, skew = _frobenius(np.stack([m, m - _conj_t(m)]))
-    return skew > HERMITICITY_RTOL * np.maximum(size, 1.0) * 10
-
-
 def _check_hermitian(m, name):
-    if _not_hermitian(m):
+    size, skew = _frobenius(np.stack([m, m - _conj_t(m)]))
+    if skew > HERMITICITY_RTOL * max(size, 1.0) * 10:
         raise ValueError(f"{name} is not Hermitian to tolerance")
 
 
@@ -133,30 +130,23 @@ def _drop(out, live, ok, error, *arrays):
 
 def _solve_cares(A, R, Q):
     """Stabilizing solutions of K canonical CAREs, each solved as
-    ``solve_care`` solves one.  A, R, Q are (K, n, n) stacks, or (n, n)
-    matrices shared by all K, at least one of them being a stack.
+    ``solve_care`` solves one, Kleinman step included.  A, R, Q are
+    (K, n, n) stacks, with R and Q finite and Hermitian: unchecked here, as
+    ``CareInstance`` checks them and ``synthesis`` builds them so.
 
     Returns an object array of K outcomes, a CareSolution or the error its
     CARE would raise.  The gates run per CARE, in ``solve_care``'s order; a
     CARE that fails one carries its own error and leaves the stack, and the
-    rest go on without it.  Non-finite or non-Hermitian R, Q give a
-    ValueError.  The CAREs whose A, R and Q have no imaginary part are
-    solved as one stack in real arithmetic, the others as one in complex.
+    rest go on without it.  The CAREs whose A, R and Q have no imaginary
+    part are solved as one stack in real arithmetic, the others as one in
+    complex.
     """
-    A, R, Q = np.broadcast_arrays(A, R, Q)
     out = np.empty(len(A), dtype=object)
-    finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
-    skew_r, skew_q = _not_hermitian(np.stack([R, Q]))
-    ok = finite & ~skew_r & ~skew_q
-    live, A, R, Q = _drop(out, np.arange(len(A)), ok, lambda j: ValueError(
-        "matrix contains NaN or Inf entries" if not finite[j]
-        else f"{'R' if skew_r[j] else 'Q'} is not Hermitian to tolerance"
-    ), A, R, Q)
     real = ~(A.imag.any(axis=(1, 2)) | R.imag.any(axis=(1, 2))
              | Q.imag.any(axis=(1, 2)))
     for part, take in ((real, np.real), (~real, np.asarray)):
         if part.any():
-            _solve_stack(out, live[part], *(take(x)[part] for x in (A, R, Q)))
+            _solve_stack(out, np.flatnonzero(part), *(take(x)[part] for x in (A, R, Q)))
     return out
 
 
@@ -250,8 +240,12 @@ def solve_care(inst):
 
     X = U2 U1^{-1}, Hermitian-symmetrized, from the QR-orthonormalized basis
     [U1; U2] of the Hamiltonian's n stable eigenvectors, then refined with one
-    Kleinman step solved as an n^2 x n^2 Kronecker system.  This is the
-    one-CARE case of the stacked solver that ``synthesis`` runs over a grid.
+    Kleinman step solved as an n^2 x n^2 Kronecker system.  Every CARE takes
+    the step, even where X meets the residual gate already: at a repeated
+    stable Hamiltonian eigenvalue such an X can still be 1e-8 off, and the
+    step brings it to rounding.  This is the one-CARE case of the stacked
+    solver that ``synthesis`` runs over a grid; ``inst`` is finite and
+    Hermitian, as ``CareInstance`` checks.
 
     Raises
     ------

@@ -8,9 +8,10 @@ algebraic Riccati equations and builds the estimator.
 
 Both work on stacks of problems of one shape: ``assemble`` given arrays of
 eps1 and eps2 builds their problems as one ``ScaledProblem`` stack, with
-one eigen-solve per distinct eps2, as ``eps_grid_search`` asks for each
-block of its grid, and each Riccati equation of a stack is one stacked
-solve (``linalg``).  A stack of K problems has (K, p, q) matrices and (K,)
+one stacked eigen-solve of I - eps2^2 G^dag G per point, as
+``eps_grid_search`` asks for each block of its grid, and each Riccati
+equation of a stack is one stacked solve (``linalg``), whose R and Q are
+symmetrized here.  A stack of K problems has (K, p, q) matrices and (K,)
 scalars, and ``s[j]`` is its problem j.  Every stage drops a point that
 fails a gate the same way (``linalg._drop``): the point's error becomes its
 outcome and the stack goes on without it.  Scalar eps1, eps2 and
@@ -164,40 +165,37 @@ def assemble(system, u, S, gamma, eps1, eps2):
         "gamma, eps1, eps2 must all be positive and finite"
     ), e1, e2)
 
-    # I - eps2^2 G^dag G and its inverse root from one eigh per distinct
-    # eps2, numbered in ``slot``; float_power is C pow, as a float's ** is,
-    # so each point's matrices are the one-point formula's to the bit
-    slot = {}
-    at = np.array([slot.setdefault(x, len(slot)) for x in e2.tolist()], dtype=int)
+    # I - eps2^2 G^dag G and its inverse root from one eigh per point;
+    # float_power is C pow, as a float's ** is, so each point's matrices are
+    # the one-point formula's to the bit
     w, v = np.linalg.eigh(
-        np.eye(m) - np.float_power(list(slot), 2)[:, None, None] * _conj_t(G) @ G
+        np.eye(m) - np.float_power(e2, 2)[:, None, None] * _conj_t(G) @ G
     )
-    unsaturated = ~(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
-    live, e1, e2, at = _drop(failures, live, unsaturated[at], lambda j: (
-        ScalingTooLarge(f"I - eps2^2 G^dag G has minimum eigenvalue {w[at[j], 0]:.3e}")
-    ), e1, e2, at)
-    # no point reads the root of a saturated eps2: 1 keeps it finite
-    Mis = (v / np.sqrt(np.where(unsaturated[:, None], w, 1.0))[:, None, :]) @ _conj_t(v)
+    ok = ~(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
+    live, e1, e2, w, v = _drop(failures, live, ok, lambda j: ScalingTooLarge(
+        f"I - eps2^2 G^dag G has minimum eigenvalue {w[j, 0]:.3e}"
+    ), e1, e2, w, v)
+    Mis = (v / np.sqrt(w)[:, None, :]) @ _conj_t(v)
     Mis = (Mis + _conj_t(Mis)) / 2
 
     c1 = np.float_power(gamma / e1, 2)[:, None, None]
-    E2bar = (S @ D @ (Mis @ Mis) @ _conj_t(D) @ _conj_t(S))[at] + (
+    E2bar = S @ D @ (Mis @ Mis) @ _conj_t(D) @ _conj_t(S) + (
         c1 * S @ H3 @ _conj_t(H3) @ _conj_t(S)
     )
     E2bar = (E2bar + _conj_t(E2bar)) / 2
     w = np.linalg.eigvalsh(E2bar)
     ok = ~(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
-    live, e1, e2, at, E2bar = _drop(failures, live, ok, lambda j: SingularE2(
+    live, e1, e2, Mis, E2bar = _drop(failures, live, ok, lambda j: SingularE2(
         f"measurement weighting has eigenvalue {w[j, 0]:.3e}"
-    ), e1, e2, at, E2bar)
+    ), e1, e2, Mis, E2bar)
 
     k, r2p, l = e1.size, G.shape[0], L.shape[0]
     g1, g2 = (gamma / e[:, None, None] for e in (e1, e2))
     point = dict(
-        B1bar=np.concatenate([(B @ Mis)[at], g1 * H1, g2 * H2], axis=-1),
+        B1bar=np.concatenate([B @ Mis, g1 * H1, g2 * H2], axis=-1),
         C1bar=np.concatenate([e1[:, None, None] * E, np.zeros((k, r2p, n)),
                               np.repeat(L[None], k, axis=0)], axis=-2),
-        D21bar=np.concatenate([(D @ Mis)[at], g1 * H3,
+        D21bar=np.concatenate([D @ Mis, g1 * H3,
                                np.zeros((k, D.shape[0], H2.shape[1]))], axis=-1),
         E2bar=E2bar,
     )
@@ -283,20 +281,12 @@ def _stack(problems):
 
 def _riccati(out, live, which, A, R, Q, *arrays):
     """One CARE per live problem, R and Q taken Hermitian; a failure is its
-    problem's outcome, a QreError as the CareFailure of the equation
-    ``which``.  Returns ``live``, the solutions and ``arrays`` without the
-    failed problems."""
+    problem's outcome, as the CareFailure of the equation ``which``.
+    Returns ``live``, the solutions and ``arrays`` without the failed
+    problems."""
     got = _solve_cares(A, (R + _conj_t(R)) / 2, (Q + _conj_t(Q)) / 2)
-
-    def error(j):
-        if not isinstance(got[j], QreError):
-            return got[j]
-        failure = CareFailure(which, got[j])
-        failure.__cause__ = got[j]
-        return failure
-
     ok = np.array([isinstance(x, CareSolution) for x in got], dtype=bool)
-    return _drop(out, live, ok, error, got, *arrays)
+    return _drop(out, live, ok, lambda j: CareFailure(which, got[j]), got, *arrays)
 
 
 def _synthesize(s, gain_convention="reproduction", require_stable=False):

@@ -205,10 +205,20 @@ class TestConfigErrors:
             ("synthesize", "mu", [0.1], "mu must be a number, got [0.1]"),
             ("synthesize", "plant.L", [0.1, -0.1, 3],
              "plant.L must have a column per plant state (2), got [0.1, -0.1, 3]"),
+            ("bode", "frequency_grid.min", [0.01],
+             "frequency_grid.min must be a number, got [0.01]"),
+            ("sweep", "delta_grid.min", None,
+             "delta_grid.min must be a number, got None"),
+            ("bode", "frequency_grid.max", "x",
+             "frequency_grid.max must be a number, got 'x'"),
+            ("bode", "frequency_grid.points", True,
+             "frequency_grid.points must be a number, got True"),
         ],
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
              "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
-             "chi-not-a-number", "kappa_c-a-list", "mu-a-list", "L-three-entries"],
+             "chi-not-a-number", "kappa_c-a-list", "mu-a-list", "L-three-entries",
+             "grid-min-a-list", "grid-min-null", "grid-max-a-string",
+             "grid-points-a-bool"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):

@@ -236,6 +236,7 @@ class TestSynthesize:
         with pytest.raises(CareFailure) as exc:
             synthesize(p)
         assert exc.value.which in ("X", "Y")
+        assert exc.value.__cause__ is exc.value.cause
 
 
 class TestEpsGridSearch:
@@ -469,7 +470,7 @@ def stacked_cares(problems, **kwargs):
     def record(A, R, Q, *args):
         got = solve_cares(A, R, Q, *args)
         which = next(calls)
-        for a, r, q, sol in zip(*np.broadcast_arrays(A, R, Q), got):
+        for a, r, q, sol in zip(A, R, Q, got):
             real = not (a.imag.any() or r.imag.any() or q.imag.any())
             cares.append((which, real, type(sol).__name__))
         return got
