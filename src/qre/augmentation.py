@@ -12,7 +12,7 @@ lifted ``UncertaintyModel`` form the channel measured by the
 coherent-classical filter.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,13 +31,18 @@ class AugmentedSystem:
     """State-space realization of the plant interconnected with a coherent
     controller, with the estimand row padded by zeros on the controller
     states.  Its fields are named as a plant's, so either serves as a
-    channel's measured system."""
+    channel's measured system.  Where plant and controller are doubled-up,
+    ``augment`` declares the layout: two doubled-up subsystems, the plant's
+    states [a; a#] and then the controller's, and two input blocks, the
+    plant's disturbance field and then the controller's own.  A system
+    built by hand declares none."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
     L: np.ndarray
+    _layout: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D", "L"):
@@ -75,6 +80,9 @@ def augment(plant, ctrl):
         C=np.hstack([Dtc2 @ C, Ctc]),
         D=np.hstack([Dtc2 @ D, Dtc1]),
         L=np.hstack([L, np.zeros((L.shape[0], Ac.shape[0]))]),
+        _layout=None if None in (plant._layout, ctrl._layout) else (
+            plant._layout[0] + ctrl._layout[0], (B1.shape[1], Bc1.shape[1])
+        ),
     )
 
 

@@ -77,10 +77,14 @@ def _write_meta(outdir, command, config, extra=None):
 
 
 def _grid(config, key, defaults):
-    """min, max and points of the config grid ``key``, defaults filled in."""
+    """min, max and points of the config grid ``key``, defaults filled in;
+    any other key of the grid is an error that names it."""
     g = config.get(key, {})
     if not isinstance(g, dict):
         raise ValueError(f"{key} must map min, max and points")
+    unknown = sorted(set(g) - {"min", "max", "points"})
+    if unknown:
+        raise ValueError(f"{key}.{unknown[0]} is not a grid key (min, max, points)")
     g = dict(zip(("min", "max", "points"), defaults), **g)
     lo, hi, n = (_numeric(g[k], f"{key}.{k}") for k in ("min", "max", "points"))
     if not (n >= 1 and n % 1 == 0):

@@ -11,7 +11,10 @@ whose A, R and Q have no imaginary part is solved in real arithmetic
 throughout (the Hamiltonian's eig, the QR, U2 U1^-1, the Kleinman step, the
 residual and the closed-loop eigenvalues), the others in complex; a stack
 holding both is solved as two, so an equation's result never depends on
-the rest of its stack.  The solution X is complex128 either way.
+the rest of its stack.  The solution X is complex128 either way.  On
+qre's doubled-up models ``synthesis`` hands it both of its equations real:
+the state equation's data are real, and the output-injection equation's
+become real in quadrature coordinates.
 """
 
 from dataclasses import dataclass

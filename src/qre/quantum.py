@@ -44,6 +44,19 @@ def omega(m1, m2):
     return np.block([[m1, m2], [m2.conj(), m1.conj()]])
 
 
+def _doubled(*matrices):
+    """Whether each matrix is doubled-up to the bit, with rows and columns
+    laid out [a; a#]: its conjugate is itself with the halves of its rows
+    and of its columns swapped."""
+    for m in matrices:
+        p, q = m.shape[0] // 2, m.shape[1] // 2
+        if m.shape != (2 * p, 2 * q) or not (
+            (m[p:, q:] == m[:p, :q].conj()).all() and (m[p:, :q] == m[:p, q:].conj()).all()
+        ):
+            return False
+    return True
+
+
 def homodyne_matrix(angles):
     """Measurement map S = [S1 S2] with S1 = diag(e^{-i theta}/sqrt(2)),
     S2 = diag(e^{i theta}/sqrt(2)); rows are orthonormal (S S^dag = I).
@@ -85,6 +98,12 @@ class QuantumPlant:
         want = (self.C.shape[0], self.B1.shape[1])
         if self.D1.shape != want:
             raise ShapeMismatch(f"D1 has shape {self.D1.shape}, expected {want}")
+        # where every matrix of the realization is doubled-up, its layout:
+        # the state count of each doubled-up subsystem (one, [a; a#]) and
+        # the width of each doubled-up input block (B1's and B2's)
+        doubled = _doubled(self.A, self.B1, self.B2, self.C, self.D1)
+        layout = (n2,), (self.B1.shape[1], self.B2.shape[1])
+        object.__setattr__(self, "_layout", layout if doubled else None)
 
     @property
     def B(self):
@@ -118,9 +137,10 @@ class CoherentController:
     D_c2: np.ndarray
     physically_realizable: bool = True
 
+    _blocks = "A_c B_c1 B_c2 Ct_c C_c Dt_c1 Dt_c2 D_c1 D_c2".split()
+
     def __post_init__(self):
-        blocks = "A_c B_c1 B_c2 Ct_c C_c Dt_c1 Dt_c2 D_c1 D_c2".split()
-        for name in blocks:
+        for name in self._blocks:
             object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
         # each block's rows come from its output port, its columns from
         # its input port
@@ -128,11 +148,14 @@ class CoherentController:
         q, r = self.Ct_c.shape[0], self.C_c.shape[0]
         shapes = ((k, k), (k, m1), (k, p), (q, k), (r, k),
                   (q, m1), (q, p), (r, m1), (r, p))
-        for name, shape in zip(blocks, shapes):
+        for name, shape in zip(self._blocks, shapes):
             if getattr(self, name).shape != shape:
                 raise ShapeMismatch(
                     f"{name} has shape {getattr(self, name).shape}, expected {shape}"
                 )
+        # as a plant's: one subsystem, and the field and plant-output inputs
+        doubled = _doubled(*(getattr(self, name) for name in self._blocks))
+        object.__setattr__(self, "_layout", ((k,), (m1, p)) if doubled else None)
 
 
 def _check_realizable(lhs, rhs, strict, what):

@@ -11,11 +11,13 @@ eps1 and eps2 builds their problems as one ``ScaledProblem`` stack, with
 one stacked eigen-solve of I - eps2^2 G^dag G per point, as
 ``eps_grid_search`` asks for each block of its grid, and each Riccati
 equation of a stack is one stacked solve (``linalg``), whose R and Q are
-symmetrized here.  A stack of K problems has (K, p, q) matrices and (K,)
-scalars, and ``s[j]`` is its problem j.  Every stage drops a point that
-fails a gate the same way (``linalg._drop``): the point's error becomes its
-outcome and the stack goes on without it.  Scalar eps1, eps2 and
-``synthesize`` are the K = 1 case.
+symmetrized here.  On qre's doubled-up models both run real: the state
+equation's data are real, and the output-injection equation is solved in
+real quadrature coordinates.  A stack of K problems has (K, p, q) matrices
+and (K,) scalars, and ``s[j]`` is its problem j.  Every stage drops a
+point that fails a gate the same way (``linalg._drop``): the point's error
+becomes its outcome and the stack goes on without it.  Scalar eps1, eps2
+and ``synthesize`` are the K = 1 case.
 
 Two gain conventions are supported for the measurement-injection gain B_K.
 The "reproduction" convention uses a gamma^-2 prefactor on the coupling term
@@ -70,7 +72,8 @@ class ScaledProblem:
     K problems has (K, p, q) matrices and (K,) arrays, and ``s[index]`` (a
     position, a mask or positions) is its problem or sub-stack there, with
     no failures.  ``failures`` maps the position of each point ``assemble``
-    was given that failed a gate to its error.
+    was given that failed a gate to its error.  ``_quadrature`` is the
+    channel's ``_quadrature_map``.
     """
 
     Abar: np.ndarray
@@ -86,6 +89,7 @@ class ScaledProblem:
     eps1: float
     eps2: float
     failures: dict = field(default_factory=dict)
+    _quadrature: np.ndarray = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -94,7 +98,7 @@ class ScaledProblem:
     def __getitem__(self, index):
         return replace(self, failures={}, **{
             f.name: getattr(self, f.name)[index] for f in fields(self)
-            if f.name != "failures"
+            if f.name != "failures" and getattr(self, f.name) is not None
         })
 
 
@@ -116,6 +120,38 @@ class Estimator:
     residual_x: float
     residual_y: float
     gain_convention: str = "reproduction"
+
+
+def _swap(blocks):
+    """The permutation that swaps each a for its a# in blocks [a; a#] of
+    the given sizes, laid end to end."""
+    out = []
+    for k in blocks:
+        out += [len(out) + j for j in (*range(k // 2, k), *range(k // 2))]
+    return out
+
+
+def _quadrature_map(layout, S, L, H1, H2, H3, E, G):
+    """T = blockdiag([[I, iI], [I, -iI]] / sqrt(2)) over the doubled-up
+    subsystems [a1 .. ak, a1# .. ak#] that the measured system's layout
+    declares, or None.  The layout gives the state count of each subsystem
+    and the width of each doubled-up input block; the output [y; y#] is
+    one block.  The channel's data are doubled-up, so real in x = T x~,
+    when S measures quadratures and each Gram of the estimand L and of the
+    uncertainty factors is doubled-up too: to the bit, the conjugate of
+    each is itself with each a, y or input swapped for its conjugate."""
+    if (layout is None or sum(layout[0]) != E.shape[1] or sum(layout[1]) != G.shape[1]
+            or any(k % 2 for k in (*layout[0], *layout[1], S.shape[1]))):
+        return None
+    x, i, y = _swap(layout[0]), _swap(layout[1]), _swap((S.shape[1],))
+    xy, H = x + [len(x) + j for j in y], np.vstack([H1, H3])
+    grams = ((S, slice(None), y), (H @ _conj_t(H), xy, xy), (_conj_t(G) @ G, i, i),
+             (np.stack([_conj_t(L) @ L, _conj_t(E) @ E, H2 @ _conj_t(H2)]), x, x))
+    if not all((m.conj() == m[..., r, :][..., c]).all() for m, r, c in grams):
+        return None
+    # column c of T is e_c + e_c# for an a and i (e_c# - e_c) for an a#
+    d = np.where(np.array(x) < np.arange(len(x)), 1j, 1)
+    return (np.eye(len(x))[x] * d + np.diag(d.conj())) / np.sqrt(2)
 
 
 def assemble(system, u, S, gamma, eps1, eps2):
@@ -204,6 +240,9 @@ def assemble(system, u, S, gamma, eps1, eps2):
     # the matrices every point shares, given the stack's K axis
     D12bar = np.vstack([np.zeros((E.shape[0] + r2p, l)), -np.eye(l)])
     shared = dict(Abar=A, C2bar=C, Sbar=S, D12bar=D12bar, E1bar=D12bar.T @ D12bar)
+    T = _quadrature_map(getattr(system, "_layout", None), S, L, H1, H2, H3, E, G)
+    if T is not None:
+        shared["_quadrature"] = T
     s = ScaledProblem(
         **{key: np.broadcast_to(np.asarray(x, dtype=complex), (k,) + x.shape)
            for key, x in shared.items()},
@@ -239,6 +278,23 @@ def _state_equation(p):
     return p.Abar, R, _conj_t(p.C1bar) @ P @ p.C1bar
 
 
+def _output_injection(p):
+    """A, R, Q of the output-injection Riccati equation in canonical form.
+
+    With M = Sbar^dag E2bar^-1 Sbar,
+      Ap = Abar - B1 D21^dag M C2,
+      Rp = C1^dag C1 - gamma^2 C2^dag M C2,
+      Qp = gamma^-2 B1 (I - D21^dag M D21) B1^dag,
+    the equation reads Ap Y + Y Ap^dag + Y Rp Y + Qp = 0, i.e. the
+    canonical form with state matrix Ap^dag."""
+    B1, C1, C2, D21, g2 = p.B1bar, p.C1bar, p.C2bar, p.D21bar, _gamma(p) ** 2
+    M = _conj_t(p.Sbar) @ np.linalg.solve(p.E2bar, p.Sbar)
+    Ap = p.Abar - B1 @ _conj_t(D21) @ M @ C2
+    Rp = _conj_t(C1) @ C1 - g2 * _conj_t(C2) @ M @ C2
+    Qp = (B1 @ (np.eye(B1.shape[-1]) - _conj_t(D21) @ M @ D21) @ _conj_t(B1)) / g2
+    return _conj_t(Ap), Rp, Qp
+
+
 def riccati_residual_x(p, X):
     """Relative residual of the state Riccati equation
     Abar^dag X + X Abar + X (gamma^-2 B1bar B1bar^dag) X
@@ -271,11 +327,12 @@ def riccati_residual_y(p, Y):
 
 
 def _stack(problems):
-    """The problems ``problems``, each one problem, as one stack with no
-    failures."""
+    """The problems ``problems``, each one problem of one channel, as one
+    stack with no failures."""
     return ScaledProblem(**{
         f.name: np.stack([getattr(p, f.name) for p in problems])
-        for f in fields(ScaledProblem) if f.name != "failures"
+        for f in fields(ScaledProblem)
+        if f.name != "failures" and getattr(problems[0], f.name) is not None
     })
 
 
@@ -296,7 +353,10 @@ def _synthesize(s, gain_convention="reproduction", require_stable=False):
 
     Each Riccati equation is one stacked solve; the output-injection
     equation is solved only where the state equation was, and the estimator
-    built only where both were.
+    built only where both were.  Where the stack carries a quadrature map
+    T, the output-injection data are real in x = T x~ up to rounding: that
+    equation is solved there in real arithmetic, for Y~ = T^dag Y T, and
+    each Y mapped back.
     """
     if gain_convention not in ("reproduction", "theorem"):
         raise QreError(f"unknown gain convention {gain_convention!r}")
@@ -305,23 +365,19 @@ def _synthesize(s, gain_convention="reproduction", require_stable=False):
     if not live.size:
         return out
 
-    # output-injection equation regrouped into the same canonical form:
-    # with M = Sbar^dag E2bar^-1 Sbar,
-    #   Ap = Abar - B1 D21^dag M C2,
-    #   Rp = C1^dag C1 - gamma^2 C2^dag M C2,
-    #   Qp = gamma^-2 B1 (I - D21^dag M D21) B1^dag,
-    # the equation reads Ap Y + Y Ap^dag + Y Rp Y + Qp = 0, i.e. the
-    # canonical form with state matrix Ap^dag.
-    B1, C1, C2, D21, g2 = s.B1bar, s.C1bar, s.C2bar, s.D21bar, _gamma(s) ** 2
-    M = _conj_t(s.Sbar) @ np.linalg.solve(s.E2bar, s.Sbar)
-    Ap = s.Abar - B1 @ _conj_t(D21) @ M @ C2
-    Rp = _conj_t(C1) @ C1 - g2 * _conj_t(C2) @ M @ C2
-    Qp = (B1 @ (np.eye(B1.shape[-1]) - _conj_t(D21) @ M @ D21) @ _conj_t(B1)) / g2
-    live, ys, s, xs = _riccati(out, live, "Y", _conj_t(Ap), Rp, Qp, s, xs)
+    A, R, Q = _output_injection(s)
+    if s._quadrature is not None:
+        T = s._quadrature
+        A, R, Q = ((_conj_t(T) @ m @ T).real for m in (A, R, Q))
+    live, ys, s, xs = _riccati(out, live, "Y", A, R, Q, s, xs)
     if not live.size:
         return out
 
     X, Y = (np.stack([sol.X for sol in sols]) for sols in (xs, ys))
+    if s._quadrature is not None:
+        T = s._quadrature
+        Y = T @ Y @ _conj_t(T)
+        Y = (Y + _conj_t(Y)) / 2
     coupling = np.eye(X.shape[-1]) - Y @ X
     cond = np.linalg.cond(coupling)
     live, s, xs, ys, X, Y, coupling, cond = _drop(
@@ -338,17 +394,17 @@ def _synthesize(s, gain_convention="reproduction", require_stable=False):
     CK = -np.linalg.solve(s.E1bar, _conj_t(s.D12bar)) @ s.C1bar
     abscissa = np.linalg.eigvals(AK).real.max(axis=-1)
     res_x, res_y = riccati_residual_x(s, X), riccati_residual_y(s, Y)
-    live, s, xs, ys, AK, BK, CK, abscissa, cond, res_x, res_y = _drop(
+    live, s, xs, ys, Y, AK, BK, CK, abscissa, cond, res_x, res_y = _drop(
         out, live, (abscissa < 0) | (not require_stable), lambda j: UnstableEstimator(
             f"estimator spectral abscissa {abscissa[j]:.4f} is not negative"
-        ), s, xs, ys, AK, BK, CK, abscissa, cond, res_x, res_y)
+        ), s, xs, ys, Y, AK, BK, CK, abscissa, cond, res_x, res_y)
     for j, r in enumerate(live):
         out[r] = Estimator(
             A_K=AK[j],
             B_K=BK[j],
             C_K=CK[j],
             X=xs[j],
-            Y=ys[j],
+            Y=CareSolution(Y[j], ys[j].residual, ys[j].closed_loop_abscissa),
             gamma=float(s.gamma[j]),
             eps1=float(s.eps1[j]),
             eps2=float(s.eps2[j]),

@@ -3,7 +3,9 @@
 Per-problem bodies of the stacked solvers: one CARE and one estimator at a
 time, as qre solved them before the Riccati solver and the synthesis ran on
 stacks.  A CARE whose A, R and Q have no imaginary part is solved in real
-arithmetic and its X returned as complex, as the stacked solver does.  The
+arithmetic and its X returned as complex, as the stacked solver does.  A
+problem that carries a quadrature map T has its output-injection equation
+solved in x = T x~, its data's real parts taken, and Y mapped back.  The
 stacked kernels must give the same outcome class and, where they solve,
 equal matrices and diagnostics.
 
@@ -152,16 +154,22 @@ def synthesize(p, gain_convention="reproduction", require_stable=False):
     Ap = p.Abar - B1 @ D21.conj().T @ M @ C2
     Rp = C1.conj().T @ C1 - g2 * C2.conj().T @ M @ C2
     Qp = (B1 @ (np.eye(B1.shape[1]) - D21.conj().T @ M @ D21) @ B1.conj().T) / g2
+    Ay, T = Ap.conj().T, p._quadrature
+    if T is not None:
+        Ay, Rp, Qp = ((T.conj().T @ m @ T).real for m in (Ay, Rp, Qp))
     try:
         soly = solve_care(
             CareInstance(
-                A=Ap.conj().T,
+                A=Ay,
                 R=(Rp + Rp.conj().T) / 2,
                 Q=(Qp + Qp.conj().T) / 2,
             )
         )
     except QreError as exc:
         raise CareFailure("Y", exc) from exc
+    if T is not None:
+        Y = T @ soly.X @ T.conj().T
+        soly = replace(soly, X=(Y + Y.conj().T) / 2)
     Y = soly.X
 
     res_x = riccati_residual_x(p, X)
@@ -240,6 +248,53 @@ def scaling_inv_sqrt(G, eps2):
     return hermitian_inv_sqrt(M)
 
 
+def swapped(m, rows, cols):
+    """m with the a and a# halves of each block of its rows and of its
+    columns swapped; ``rows`` and ``cols`` list the block sizes."""
+    def order(blocks):
+        out, start = [], 0
+        for k in blocks:
+            out += [*range(start + k // 2, start + k), *range(start, start + k // 2)]
+            start += k
+        return out
+    return m[np.ix_(order(rows), order(cols))]
+
+
+def quadrature(system, u, S):
+    """The unitary T to real quadrature coordinates of a channel whose
+    system declares its layout: doubled-up subsystems, each laid out
+    [a1 .. ak, a1# .. ak#], and doubled-up input blocks.  T is
+    [[I, iI], [I, -iI]] / sqrt(2) per subsystem.  None unless, to the bit,
+    the conjugate of S, and of each Gram of the estimand and of the
+    uncertainty factors, is itself with every a, y and input swapped for
+    its conjugate (the measured output [y; y#] is one block)."""
+    layout = getattr(system, "_layout", None)
+    p = S.shape[1]
+    if layout is None or p % 2 or any(k % 2 for k in layout[0] + layout[1]):
+        return None
+    x, i = layout
+    G = np.hstack([u.G, np.zeros((u.G.shape[0], sum(i) - u.G.shape[1]))])
+    L, H1, H2, H3, E = as_cmatrix(system.L), u.H1, u.H2, u.H3, u.E
+    if not np.array_equal(S.conj(), np.hstack([S[:, p // 2:], S[:, :p // 2]])):
+        return None
+    for m, rows, cols in [(L.conj().T @ L, x, x), (E.conj().T @ E, x, x),
+                          (H1 @ H1.conj().T, x, x), (H2 @ H2.conj().T, x, x),
+                          (H1 @ H3.conj().T, x, (p,)), (H3 @ H3.conj().T, (p,), (p,)),
+                          (G.conj().T @ G, i, i)]:
+        if m.shape != (sum(rows), sum(cols)):
+            return None
+        if not np.array_equal(m.conj(), swapped(m, rows, cols)):
+            return None
+    n = sum(x)
+    T = np.zeros((n, n), dtype=complex)
+    for start, k in zip(np.cumsum((0,) + tuple(x))[:-1], x):
+        for j in range(k // 2):
+            a, a_conj = start + j, start + k // 2 + j
+            T[a, a], T[a, a_conj] = 1 / np.sqrt(2), 1j / np.sqrt(2)
+            T[a_conj, a], T[a_conj, a_conj] = 1 / np.sqrt(2), -1j / np.sqrt(2)
+    return T
+
+
 def assemble(system, u, S, gamma, eps1, eps2):
     if not all(np.isfinite(x) and x > 0 for x in (gamma, eps1, eps2)):
         raise QreError("gamma, eps1, eps2 must all be positive and finite")
@@ -281,6 +336,7 @@ def assemble(system, u, S, gamma, eps1, eps2):
         gamma=float(gamma),
         eps1=float(eps1),
         eps2=float(eps2),
+        _quadrature=quadrature(system, u, S),
     )
 
 
@@ -346,6 +402,7 @@ def series_augment(plant, ctrl):
         C=np.hstack([Dc @ C, Cc]),
         D=Dc @ D,
         L=np.hstack([L, np.zeros((L.shape[0], k))]),
+        _layout=((n, k), (B.shape[1], 0)),
     )
 
 

@@ -213,12 +213,17 @@ class TestConfigErrors:
              "frequency_grid.max must be a number, got 'x'"),
             ("bode", "frequency_grid.points", True,
              "frequency_grid.points must be a number, got True"),
+            ("bode", "frequency_grid", {"mn": 1.0, "max": 10.0, "points": 5},
+             "frequency_grid.mn is not a grid key (min, max, points)"),
+            ("sweep", "delta_grid", {"point": 3},
+             "delta_grid.point is not a grid key (min, max, points)"),
         ],
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
              "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
              "chi-not-a-number", "kappa_c-a-list", "mu-a-list", "L-three-entries",
              "grid-min-a-list", "grid-min-null", "grid-max-a-string",
-             "grid-points-a-bool"],
+             "grid-points-a-bool", "frequency-grid-unknown-key",
+             "delta-grid-unknown-key"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import count
 from types import SimpleNamespace
 from unittest import mock
@@ -11,18 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qre.analysis import StateSpace, hinf_norm
-from qre.augmentation import augment, lift_uncertainty
+from qre.augmentation import AugmentedSystem, augment, lift_uncertainty
 from qre import synthesis
 from qre.errors import CareFailure, QreError, ScalingTooLarge, ShapeMismatch
+from qre.linalg import CARE_RESIDUAL_TOL, CareSolution, _conj_t, _solve_cares
 from qre.quantum import (
     CoherentController,
+    QuantumPlant,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
     homodyne_matrix,
+    omega,
     squeezer_controller,
     squeezer_plant,
 )
 from qre.synthesis import (
+    Estimator,
     ScaledProblem,
     assemble,
     eps_grid_search,
@@ -30,7 +34,7 @@ from qre.synthesis import (
     riccati_residual_y,
     synthesize,
 )
-from qre.uncertainty import squeezer_uncertainty
+from qre.uncertainty import UncertaintyModel, squeezer_uncertainty
 
 
 @pytest.fixture
@@ -351,6 +355,13 @@ positive = st.floats(0.25, 8.0)
 scaling = st.tuples(st.floats(0.1, 2.0), st.floats(0.05, 1.0), st.floats(0.05, 1.2))
 squeezing = st.floats(-3.0, 3.0)
 estimand = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+# estimands that weigh a as a#: [x, -x] (the benchmarks' form) or [z, z#]
+doubled_estimand = st.one_of(
+    st.floats(-1.0, 1.0).map(lambda x: [x, -x]),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
+        lambda t: [complex(*t), complex(t[0], -t[1])]
+    ),
+)
 uncertainty = st.floats(0.0, 0.5)
 angle = st.floats(-180.0, 180.0)
 
@@ -505,11 +516,12 @@ class TestStackedSynthesis:
                                            require_stable=require_stable)
         if design:
             # the design benchmark's setting: 128 of the 324 points; of its
-            # 497 CAREs, the 288 state equations have real data and are
-            # solved in real arithmetic, the 209 output-injection ones
-            # complex; 337 solve and 160 fail the imaginary-axis gate
+            # 497 CAREs, the 288 state equations have real data and the 209
+            # output-injection ones doubled-up data, real in quadrature
+            # coordinates: all are solved in real arithmetic; 337 solve and
+            # 160 fail the imaginary-axis gate
             assert feasible == 128
-            assert Counter(c[:2] for c in cares) == {(0, True): 288, (1, False): 209}
+            assert Counter(c[:2] for c in cares) == {(0, True): 288, (1, True): 209}
             assert Counter(c[2] for c in cares) == {
                 "CareSolution": 337, "ImaginaryAxisEigenvalue": 160
             }
@@ -590,6 +602,23 @@ def row_major(eps1_grid, eps2_grid):
     return [g.ravel() for g in np.meshgrid(eps1_grid, eps2_grid, indexing="ij")]
 
 
+def realizable_channels(feedback, kappa1, kappa2, chi, chi_c, L, mu):
+    """The classical and coherent channels of realizable squeezers of the
+    series or the feedback topology, as (measured system, uncertainty)."""
+    u = squeezer_uncertainty(np.sqrt(kappa1), mu)
+    if feedback:
+        plant = feedback_squeezer_plant(
+            kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
+        )
+        ctrl = feedback_squeezer_controller(
+            kappa1 + kappa2, kappa1, kappa2, chi_c, strict=True
+        )
+    else:
+        plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
+        ctrl = squeezer_controller(kappa2, kappa2, chi_c, strict=True)
+    return [(plant, u), (augment(plant, ctrl), lift_uncertainty(u, ctrl, plant))]
+
+
 class TestStackedAssembly:
     """A block of (eps1, eps2) points assembled as one stack against the
     per-point reference: at every point the same error class and message,
@@ -666,22 +695,10 @@ class TestStackedAssembly:
            eps2=st.lists(st.floats(0.05, 1.2), min_size=1, max_size=4))
     def test_realizable_squeezers(self, feedback, kappa1, kappa2, chis, L, mu,
                                   theta, gamma, eps1, eps2):
-        chi, chi_c = chis
-        u = squeezer_uncertainty(np.sqrt(kappa1), mu)
         S = homodyne_matrix([np.deg2rad(theta)])
-        if feedback:
-            plant = feedback_squeezer_plant(
-                kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
-            )
-            ctrl = feedback_squeezer_controller(
-                kappa1 + kappa2, kappa1, kappa2, chi_c, strict=True
-            )
-        else:
-            plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
-            ctrl = squeezer_controller(kappa2, kappa2, chi_c, strict=True)
         grid = row_major(eps1, eps2)
-        for system, channel_u in ((plant, u), (augment(plant, ctrl),
-                                               lift_uncertainty(u, ctrl, plant))):
+        for system, channel_u in realizable_channels(feedback, kappa1, kappa2,
+                                                     *chis, L, mu):
             assert_assembly_matches_reference(system, channel_u, S, gamma, *grid)
 
     def test_blocks_not_conforming_raise_before_any_gate(self, series_parts,
@@ -751,3 +768,108 @@ class TestGridSearchBlocks:
         assert (e1, e2) == (0.19, 0.81)
         with pytest.raises(QreError, match="no feasible"):
             search([np.nan, 1.0, 1.5])
+
+
+def assert_matches_complex_solve(s, **kwargs):
+    """Every output-injection CARE of the stack ``s`` runs in real
+    arithmetic and has the outcome class of the complex solve of its data
+    in the original coordinates; where it solves, the mapped-back Y is that
+    solve's to 1e-12 relative and meets the residual gate in the original
+    equation.  Returns the number of output-injection CAREs solved."""
+    cares = stacked_cares([s[j] for j in range(len(s.gamma))], **kwargs)
+    assert all(real for which, real, _ in cares if which == 1)
+    A, R, Q = synthesis._output_injection(s)
+    want = _solve_cares(A, (R + _conj_t(R)) / 2, (Q + _conj_t(Q)) / 2)
+    solved = 0
+    for est, sol in zip(synthesis._synthesize(s, **kwargs), want):
+        if isinstance(est, CareFailure):
+            if est.which == "Y":
+                assert type(est.cause) is type(sol), (est, sol)
+            continue
+        assert isinstance(sol, CareSolution), sol
+        solved += 1
+        if isinstance(est, Estimator):
+            assert np.linalg.norm(est.Y.X - sol.X) <= 1e-12 * np.linalg.norm(sol.X)
+            assert est.residual_y <= CARE_RESIDUAL_TOL
+    return solved
+
+
+def two_mode_parts(L):
+    """A two-mode plant of omega(m1, m2) blocks, its states laid out
+    [a1, a2, a1#, a2#], with a doubled-up uncertainty model and two
+    homodyne angles."""
+    m1 = np.array([[-1.0 + 0.3j, 0.2], [0.1j, -1.5]])
+    m2 = np.array([[0.3, 0.1 - 0.2j], [0.1 - 0.2j, -0.2j]])
+    plant = QuantumPlant(
+        A=omega(m1, m2), B1=-omega(np.eye(2), 0.1 * m2), B2=np.zeros((4, 0)),
+        C=omega(np.eye(2), 0.1j * np.eye(2)), D1=np.eye(4), L=L,
+    )
+    u = UncertaintyModel(
+        H1=0.2 * np.eye(4), H2=-0.1 * np.eye(4), H3=0.1 * np.eye(4),
+        E=-0.5 * np.eye(4), G=np.eye(4), f1_exponents=(1,) * 4,
+        f2_exponents=(1,) * 4,
+    )
+    return plant, u, homodyne_matrix([0.3, 1.1])
+
+
+class TestQuadratureCoordinates:
+    """The output-injection equation of a channel whose data are doubled-up
+    is solved in real quadrature coordinates, and its solution mapped back
+    is the complex solve's; any other channel keeps the complex path."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(feedback=st.booleans(), kappa1=positive, kappa2=positive,
+           chis=st.lists(squeezing, min_size=2, max_size=2), L=doubled_estimand,
+           mu=uncertainty, theta=angle, gamma=st.floats(0.1, 2.0),
+           eps1=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+           eps2=st.lists(st.floats(0.05, 1.2), min_size=1, max_size=3),
+           convention=st.sampled_from(["reproduction", "theorem"]))
+    def test_realizable_squeezers(self, feedback, kappa1, kappa2, chis, L, mu,
+                                  theta, gamma, eps1, eps2, convention):
+        S = homodyne_matrix([np.deg2rad(theta)])
+        for system, u in realizable_channels(feedback, kappa1, kappa2, *chis, L, mu):
+            s = assemble(system, u, S, gamma, *row_major(eps1, eps2))
+            if len(s.gamma):
+                assert s._quadrature is not None
+                assert_matches_complex_solve(s, gain_convention=convention)
+
+    def test_two_mode_subsystem(self):
+        plant, u, S = two_mode_parts([[0.3 - 0.1j, 0.2, 0.3 + 0.1j, 0.2]])
+        s = assemble(plant, u, S, 1.0, *row_major([0.2, 0.5], [0.3, 0.6]))
+        q, p = np.eye(4)[:, :2], 1j * np.eye(4)[:, :2]
+        np.testing.assert_array_equal(s._quadrature[0], np.hstack([
+            q + np.roll(q, 2, axis=0), p - np.roll(p, 2, axis=0)
+        ]) / np.sqrt(2))
+        assert assert_matches_complex_solve(s) == 4
+        # a per-mode T, right only for the layout [a1, a1#, a2, a2#], leaves
+        # these data far from real
+        per_mode = np.kron(np.eye(2), [[1, 1j], [1, -1j]]) / np.sqrt(2)
+        A = _conj_t(per_mode) @ synthesis._output_injection(s)[0] @ per_mode
+        assert np.abs(A.imag).max() > 0.1 * np.abs(A).max()
+
+    @pytest.mark.parametrize("channel", ["augmented-by-hand", "plant-not-doubled",
+                                         "estimand-not-doubled",
+                                         "uncertainty-not-doubled", "not-homodyne"])
+    def test_other_channels_keep_the_complex_path(self, series_study, channel):
+        system, u = series_study.channels["coherent"]
+        S = series_study.S
+        if channel == "plant-not-doubled":
+            plant = replace(series_study.plant, A=[[-2.0, -0.5], [-0.3, -2.0]])
+            system = augment(plant, series_study.controller)
+        elif channel == "augmented-by-hand":
+            system = AugmentedSystem(**{m: getattr(system, m) for m in "ABCDL"})
+        elif channel == "estimand-not-doubled":
+            plant = replace(series_study.plant, L=[[0.1, 0.0]])
+            system = augment(plant, series_study.controller)
+        elif channel == "uncertainty-not-doubled":
+            u = replace(u, H1=u.H1 * [[1.0], [0.5], [1.0], [1.0]])
+        else:
+            S = np.array([[0.6, 0.8j]])
+        grid = np.logspace(-2, 0, 9)
+        problems = grid_problems(lambda e1, e2: assemble(
+            system, u, S, series_study.gamma, e1, e2
+        ), grid, grid)
+        assert all(p._quadrature is None for p in problems)
+        assert {c[:2] for c in stacked_cares(problems)} == {(0, True), (1, False)}
+        # the complex path is the per-problem reference's, to the bit
+        assert "Estimator" in assert_stack_matches_reference(problems)
