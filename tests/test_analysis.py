@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,7 +59,14 @@ def loop_response(ss, omegas):
 
 def bisection_norm(ss, rel_tol=1e-6):
     """Reference peak gain: bisection on the bounded-real Hamiltonian test,
-    bracketed from a coarse grid; the midpoint of the final bracket."""
+    bracketed from a coarse grid; the midpoint of the final bracket.
+
+    A level counts as crossed where the Hamiltonian has an eigenvalue within
+    1e-8 of the imaginary axis, or where the gain at some eigenvalue's
+    frequency exceeds it.  The second test catches a near-tangent crossing:
+    rounding can move its two eigenvalues off the axis as a pair, whose
+    frequency lies between the crossings, where the gain exceeds the
+    level."""
 
     def crossed(gamma):
         A, B, C, D = ss.A, ss.B, ss.C, ss.D
@@ -67,7 +75,9 @@ def bisection_norm(ss, rel_tol=1e-6):
         Q = C.conj().T @ (np.eye(D.shape[0]) + D @ Rinv @ D.conj().T) @ C
         H = np.block([[Am, B @ Rinv @ B.conj().T], [-Q, -Am.conj().T]])
         eigs = np.linalg.eigvals(H)
-        return np.min(np.abs(eigs.real)) < 1e-8 * max(1.0, np.max(np.abs(eigs)))
+        if np.min(np.abs(eigs.real)) < 1e-8 * max(1.0, np.max(np.abs(eigs))):
+            return True
+        return max(map(max_singular_value, loop_response(ss, eigs.imag))) > gamma
 
     dnorm = max_singular_value(ss.D)
     grid = np.logspace(-3, 3, 50)
@@ -249,6 +259,112 @@ class TestFrequencyResponse:
         g = frequency_response(random_system(3), [])
         assert g.shape[0] == 0 and g.ndim == 3
 
+    def test_memory_is_flat_in_the_number_of_frequencies(self, series_study):
+        # Blocks of BLOCK frequencies: ten times the frequencies may cost
+        # only the larger output array, plus 64 KiB for the rest of the
+        # call (about 7 KiB measured).
+        loop = series_study.closed_loop("coherent", 0.3)
+        frequency_response(loop, [1.0])
+        peaks = []
+        for n in (4000, 40000):
+            omegas = np.linspace(-1e3, 1e3, n)
+            tracemalloc.start()
+            try:
+                g = frequency_response(loop, omegas)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= g.nbytes + 64 * 1024
+
+
+class TestHessenbergKernel:
+    """The resolvent kernel reduces each system once to Hessenberg form and
+    eliminates across frequencies; every case is checked against one dense
+    solve per frequency."""
+
+    @staticmethod
+    def check(ss, omegas=np.linspace(-20.0, 20.0, 101)):
+        g = frequency_response(ss, omegas)
+        reference = np.reshape(loop_response(ss, omegas), g.shape)
+        np.testing.assert_allclose(g, reference, rtol=1e-12)
+
+    @staticmethod
+    def system(a, seed=0, p=2, m=3):
+        rng = np.random.default_rng(seed)
+        n = len(a)
+        b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        c = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+        return StateSpace(a, b, c, rng.standard_normal((p, m)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_frequency_row_per_system(self, seed):
+        # the level-set kernel's resolvent path: K systems of a stack, each
+        # at its own frequencies, over more than one block
+        systems = [random_system(seed + k, feedthrough=True, shape=(4, 2, 3))
+                   for k in range(3)]
+        rng = np.random.default_rng(seed)
+        W = np.sort(rng.uniform(-20.0, 20.0, (3, BLOCK)), axis=1)
+        A, B, C, D = stack(systems)
+        g = analysis._responses(A, B, C, D, np.linalg.eigvals(A), W)
+        for ss, w, gk in zip(systems, W, g):
+            np.testing.assert_allclose(gk, loop_response(ss, w), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_reflection_below_three_states(self, n, seed):
+        self.check(random_system(seed, stable=False, feedthrough=True,
+                                 shape=(n, 2, 2)))
+
+    def test_triangular_dynamics(self):
+        # every column is zero below its subdiagonal: identity reflectors
+        rng = np.random.default_rng(1)
+        a = np.triu(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        self.check(self.system(a))
+
+    def test_hessenberg_dynamics_with_a_zero_subdiagonal_entry(self):
+        rng = np.random.default_rng(2)
+        a = np.triu(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)), -1)
+        a[3, 2] = 0.0
+        self.check(self.system(a))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9])
+    def test_a_small_leading_entry_pivots_on_the_subdiagonal(self, offset):
+        # i w - a_00 is 0 or 1e-9 at w = 2: without the row swap the
+        # elimination divides by it
+        a = np.array([[2j + offset, 1.0, 2.0], [1.0, -1.0, 0.5], [0.0, 1.0, -2.0]])
+        self.check(self.system(a), np.array([-2.0, 0.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("p, m", [(0, 2), (2, 0), (0, 0)])
+    def test_no_outputs_or_no_inputs(self, p, m):
+        ss = random_system(4, feedthrough=True, shape=(4, p, m))
+        assert frequency_response(ss, [0.0, 1.0]).shape == (2, p, m)
+        self.check(ss)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_jordan_block(self, rotated):
+        ss = jordan_system(5, 5, 2, 3)
+        if rotated:
+            rng = np.random.default_rng(5)
+            Q = np.linalg.qr(rng.standard_normal((5, 5))
+                             + 1j * rng.standard_normal((5, 5)))[0]
+            ss = StateSpace(Q @ ss.A @ Q.conj().T, Q @ ss.B, ss.C @ Q.conj().T, ss.D)
+        self.check(ss)
+
+    @pytest.mark.parametrize("a, w", [
+        (np.diag([-1.0, 2.0j]), 2.0),
+        (np.ones((2, 2)), 0.0),  # rows equal at w = 0: the pivot cancels
+        (np.diag([-1.0, -2.0, 3.0j, -4.0]), 3.0),
+    ])
+    def test_an_exact_zero_pivot_raises(self, a, w, monkeypatch):
+        # with the pole check out of the way, the elimination itself names
+        # the frequency and the system; it never returns inf or nan
+        monkeypatch.setattr(analysis, "_pole_offsets", lambda eigA, W: None)
+        good, bad = self.system(-np.eye(len(a))), self.system(a)
+        with pytest.raises(SingularAtFrequency, match=f"{1j * w}") as info:
+            analysis._responses(*stack([good, bad]), np.zeros((2, len(a))),
+                                np.array([[1.0, w], [1.0, w]]))
+        assert info.value.system == 1
+
 
 def check_against_bisection(ss, rel_tol):
     norm, w = hinf_norm(ss, rel_tol, allow_unstable=True, return_frequency=True)
@@ -282,10 +398,10 @@ class TestLevelSetAgainstBisection:
     within rel_tol / 2 of the true peak, so they agree within rel_tol.
 
     The random systems keep a well-conditioned eigenvector basis.  With raw
-    Gaussian bases the bisection's own stopping test, the 1e-8 axis
-    tolerance, can stop far low (4.7e-4 on seed 64), so it is no reference
-    there; test_ill_conditioned_systems checks such cases against a dense
-    local grid instead.
+    Gaussian bases the bisection's own stopping test can stop far low
+    (2.0e-4 on seed 64), so it is no reference there;
+    test_ill_conditioned_systems checks such cases against a dense local
+    grid instead.
     """
 
     rel_tol = 1e-6
@@ -305,6 +421,17 @@ class TestLevelSetAgainstBisection:
     )
     def test_random_systems(self, seed, stable, feedthrough):
         self.check(random_system(seed, stable, feedthrough))
+
+    def test_near_tangent_crossing(self):
+        # Just below the sharp peak of this Jordan block the two crossing
+        # eigenvalues leave the axis by more than 1e-8; the reference still
+        # reaches the peak of a dense local grid.
+        ss = jordan_system(3, 5, 1, 3)
+        w = hinf_norm(ss, self.rel_tol, return_frequency=True)[1]
+        g = frequency_response(ss, np.linspace(w - 0.05, w + 0.05, 200001))
+        peak = analysis._sigma_max(g).max()
+        assert bisection_norm(ss, self.rel_tol) >= peak * (1 - self.rel_tol / 2)
+        self.check(ss)
 
     @pytest.mark.parametrize("seed, feedthrough", [(64, False), (743, True)])
     def test_ill_conditioned_systems(self, seed, feedthrough):
@@ -336,10 +463,8 @@ class TestWorstStart:
     a lower bound.  With the pick moved to the grid point of least modal
     gain, the level-set kernel still agrees with the bisection, and where
     the eigenvector matrix V is singular or ill-conditioned, with a dense
-    local grid.  The bisection is no reference there: on
-    jordan_system(3, 5, 1, 3) its 1e-8 axis test stops 1.0e-6 below the
-    sharp peak of a local grid (1325.8192), which this kernel finds with
-    any start."""
+    local grid, as the bisection can stop low on a raw Gaussian basis (see
+    TestLevelSetAgainstBisection)."""
 
     rel_tol = 1e-6
 
