@@ -38,13 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ChannelOutOfRange,
     QreError,
     ShapeMismatch,
     SingularAtFrequency,
     UnstableSystem,
 )
-from .linalg import as_cmatrix
+from .linalg import _hamiltonian, as_cmatrix
 from .uncertainty import delta_powers
 
 __all__ = [
@@ -126,18 +125,17 @@ class LoopPolynomial:
         return StateSpace(*(m[0] for m in self([delta])))
 
 
-def loop_polynomial(A, B, C, D, L, S, est, perturbation, channel=None):
+def loop_polynomial(A, B, C, D, L, S, est, perturbation):
     """Disturbance-to-estimation-error loop of a filter driven by the
     homodyne measurement of a perturbed plant, as a LoopPolynomial.
 
     A_cl = [[A+dA, 0], [B_K S (C+dC), A_K]], B_cl = [[B+dB], [B_K S D]]
-    restricted to the selected input columns, C_cl = [-L, C_K], D_cl = 0.
+    restricted to its first S.shape[0] columns, C_cl = [-L, C_K], D_cl = 0.
     ``perturbation`` is ``(powers, dA, dB, dC)`` as from
     ``UncertaintyModel.coefficients``; the nominal plant joins the power-0
-    term, and dB fills the leading input columns.  ``channel`` lists
-    input-column indices; the default keeps the first half of the leading
-    doubled input block (the disturbance-field quadratures, not their
-    conjugates).
+    term, and dB fills the leading input columns.  The loop's input is the
+    first half of the leading doubled input block: the disturbance-field
+    quadratures, not their conjugates.
     """
     A, B, C, D, L, S = map(as_cmatrix, (A, B, C, D, L, S))
     powers, dA, dB, dC = perturbation
@@ -148,22 +146,17 @@ def loop_polynomial(A, B, C, D, L, S, est, perturbation, channel=None):
     Acl = np.block([[dA + one * A, np.zeros((P, n, k))],
                     [est.B_K @ S @ (dC + one * C), one * est.A_K]])
     Bcl = np.concatenate([Bp + one * B, one * (est.B_K @ S @ D)], axis=1)
-    channel = list(range(S.shape[0]) if channel is None else channel)
-    if any(c < 0 or c >= B.shape[1] for c in channel):
-        raise ChannelOutOfRange(
-            f"channel {channel} outside input width {B.shape[1]}"
-        )
     Ccl = np.hstack([-L, est.C_K])
-    return LoopPolynomial(tuple(powers), Acl, Bcl[..., channel], Ccl)
+    return LoopPolynomial(tuple(powers), Acl, Bcl[..., : S.shape[0]], Ccl)
 
 
-def closed_loop_error_system(A, B, C, D, L, S, est, deltas=None, channel=None):
+def closed_loop_error_system(A, B, C, D, L, S, est, deltas=None):
     """The loop_polynomial error system at one perturbation ``deltas``, a
     DeltaTriple (by default none), as a StateSpace."""
     if deltas is None:
         deltas = (np.zeros(np.shape(A)), np.zeros((len(A), 0)), np.zeros(np.shape(C)))
     dA, dB, dC = (np.asarray(m)[None] for m in deltas)
-    return loop_polynomial(A, B, C, D, L, S, est, ((0,), dA, dB, dC), channel).at(0.0)
+    return loop_polynomial(A, B, C, D, L, S, est, ((0,), dA, dB, dC)).at(0.0)
 
 
 # Frequency columns per block of the Hessenberg elimination: a stack of K
@@ -297,13 +290,8 @@ def _level_eigenvalues(A, B, C, D, gamma):
     R = gamma[:, None, None] ** 2 * np.eye(m) - Dh @ D
     Rinv = np.linalg.inv(R)
     Am = A + B @ Rinv @ Dh @ C
-    H = np.block(
-        [
-            [Am, B @ Rinv @ Bh],
-            [-Ch @ (np.eye(p) + D @ Rinv @ Dh) @ C, -Am.conj().swapaxes(1, 2)],
-        ]
-    )
-    return np.linalg.eigvals(H)
+    Q = Ch @ (np.eye(p) + D @ Rinv @ Dh) @ C
+    return np.linalg.eigvals(_hamiltonian(Am, B @ Rinv @ Bh, Q))
 
 
 def _residues(B, C, V):
@@ -515,19 +503,20 @@ def grid_peak_gain(ss):
     return float(_sigma_max(frequency_response(ss, ORACLE_GRID)).max())
 
 
-def delta_sweep(builder, deltas, label="", rel_tol=1e-6, allow_unstable=True):
+def delta_sweep(builder, deltas, label="", rel_tol=1e-6):
     """Peak gains and spectral abscissas of the loops builder(deltas), in
     one run of the level-set kernel.  ``builder`` maps the array of K deltas
     to the (A, B, C, D) stacks of their K loops, as a LoopPolynomial does.
-    Its failures propagate as raised; the kernel's keep their class and
-    name the delta of the loop at fault.
+    An unstable loop's peak gain is its L-infinity norm, as its abscissa shows.
+    The builder's failures propagate as raised; the kernel's keep their
+    class and name the delta of the loop at fault.
     """
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         return SweepResult((), (), label, ())
     stacks = builder(np.array(deltas))
     try:
-        norms, _, abscissa = _level_set(*stacks, rel_tol, allow_unstable)
+        norms, _, abscissa = _level_set(*stacks, rel_tol, allow_unstable=True)
     except QreError as exc:
         raise type(exc)(f"sweep failed at delta={deltas[exc.system]}: {exc}") from exc
     return SweepResult(deltas, tuple(norms.tolist()), label, tuple(abscissa.tolist()))

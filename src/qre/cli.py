@@ -27,7 +27,7 @@ from .errors import (
     ScalingTooLarge,
 )
 from .presets import (
-    _numeric,
+    _group,
     build_study,
     feedback_benchmark_config,
     series_benchmark_config,
@@ -59,6 +59,8 @@ def _load_config(path):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError("the config file must hold a JSON object")
     if "topology" not in cfg:
         raise ValueError("config missing 'topology'")
     return cfg
@@ -79,17 +81,10 @@ def _write_meta(outdir, command, config, extra=None):
 def _grid(config, key, defaults):
     """min, max and points of the config grid ``key``, defaults filled in;
     any other key of the grid is an error that names it."""
-    g = config.get(key, {})
-    if not isinstance(g, dict):
-        raise ValueError(f"{key} must map min, max and points")
-    unknown = sorted(set(g) - {"min", "max", "points"})
-    if unknown:
-        raise ValueError(f"{key}.{unknown[0]} is not a grid key (min, max, points)")
-    g = dict(zip(("min", "max", "points"), defaults), **g)
-    lo, hi, n = (_numeric(g[k], f"{key}.{k}") for k in ("min", "max", "points"))
+    lo, hi, n = _group(config, key, ("min", "max", "points"), "grid", defaults).values()
     if not (n >= 1 and n % 1 == 0):
         raise ValueError(
-            f"{key}.points must be a whole number >= 1, got {g['points']!r}"
+            f"{key}.points must be a whole number >= 1, got {config[key]['points']!r}"
         )
     return lo, hi, int(n)
 

@@ -59,10 +59,6 @@ class UnstableEstimator(QreError):
     """Synthesized estimator dynamics are not Hurwitz."""
 
 
-class ChannelOutOfRange(QreError):
-    """Requested input-column selection exceeds the available columns."""
-
-
 class SingularAtFrequency(QreError):
     """i*omega coincides with an eigenvalue of the state matrix."""
 

@@ -14,7 +14,8 @@ holding both is solved as two, so an equation's result never depends on
 the rest of its stack.  The solution X is complex128 either way.  On
 qre's doubled-up models ``synthesis`` hands it both of its equations real:
 the state equation's data are real, and the output-injection equation's
-become real in quadrature coordinates.
+become real in quadrature coordinates.  ``_hamiltonian`` is qre's one
+builder of the Hamiltonian, also of the bounded-real one in ``analysis``.
 """
 
 from dataclasses import dataclass
@@ -153,16 +154,16 @@ def _solve_cares(A, R, Q):
     return out
 
 
+def _hamiltonian(A, R, Q):
+    """[[A, R], [-Q, -A^dag]] for each CARE of the (..., n, n) stacks A, R, Q."""
+    return np.block([[A, R], [-Q, -_conj_t(A)]])
+
+
 def _solve_stack(out, live, A, R, Q):
     """Solve the CAREs of the (K, n, n) stacks A, R, Q, all real or all
     complex, and put each outcome at out[live[j]]."""
     n = A.shape[1]
-    H = np.empty((len(live), 2 * n, 2 * n), dtype=A.dtype)
-    H[:, :n, :n], H[:, :n, n:] = A, R
-    np.negative(Q, out=H[:, n:, :n])
-    np.negative(_conj_t(A), out=H[:, n:, n:])
-    lam, V = np.linalg.eig(H)
-    del H
+    lam, V = np.linalg.eig(_hamiltonian(A, R, Q))
     if not np.iscomplexobj(A):
         # a real basis of the eigenvectors: v itself for a real eigenvalue,
         # Re v and Im v for a conjugate pair (the first member, Im lam > 0,

@@ -175,6 +175,21 @@ def _numeric(value, key, ndim=0, kinds="iuf"):
     return float(a) if ndim == 0 else a
 
 
+def _group(config, key, names, kind, defaults=None, matrix=None):
+    """The config group ``key``, a mapping over ``names`` (optional with
+    ``defaults``, one per name), as a dict of _numeric values; ``matrix``
+    names an array entry.  Any other group raises a ValueError naming it."""
+    g = config[key] if defaults is None else config.get(key, {})
+    if not isinstance(g, dict):
+        raise ValueError(f"{key} must map {', '.join(names[:-1])} and {names[-1]}")
+    unknown = sorted(set(g) - set(names))
+    if unknown:
+        raise ValueError(f"{key}.{unknown[0]} is not a {kind} key ({', '.join(names)})")
+    g = dict(zip(names, defaults or ()), **g)
+    return {k: _numeric(g[k], f"{key}.{k}", *((2, "iufc") if k == matrix else ()))
+            for k in names}
+
+
 def build_study(config):
     """Assemble a Study from a configuration mapping.
 
@@ -183,8 +198,9 @@ def build_study(config):
     or ``coherent_classical_fb``) plus plant/controller parameter groups,
     homodyne angles in degrees, and the scaling parameters gamma, eps1,
     eps2.  A true ``strict_pr`` entry rejects physically unrealizable
-    plant/controller parameters.  A value that is not a number, or an L
-    without a column per plant state, raises a ValueError naming its key.
+    plant/controller parameters.  A value that is not a number, a group
+    that is not a mapping of the topology's keys, or an L without a column
+    per plant state, raises a ValueError naming its key.
     """
     topology = config["topology"]
     if topology not in (
@@ -202,10 +218,11 @@ def build_study(config):
     )
 
     feedback = topology.endswith("_fb")
-    pc = {k: _numeric(config["plant"][k], f"plant.{k}") for k in (
-        ("beta", "kappa1", "kappa2", "chi") if feedback else ("beta", "kappa", "chi")
-    )}
-    L = _numeric(config["plant"]["L"], "plant.L", ndim=2, kinds="iufc")
+    pc = _group(config, "plant", (
+        ("beta", "kappa1", "kappa2", "chi", "L") if feedback
+        else ("beta", "kappa", "chi", "L")
+    ), "plant", matrix="L")
+    L = pc.pop("L")
     if np.atleast_2d(L).shape[1] != 2:
         raise ValueError(f"plant.L must have a column per plant state (2), "
                          f"got {config['plant']['L']!r}")
@@ -219,10 +236,10 @@ def build_study(config):
 
     controller = augmented = lifted = None
     if topology.startswith("coherent"):
-        cc = {k: _numeric(config["controller"][k], f"controller.{k}") for k in (
+        cc = _group(config, "controller", (
             ("beta_c", "kappa_c1", "kappa_c2", "chi_c") if feedback
             else ("beta_c", "kappa_c", "chi_c")
-        )}
+        ), "controller")
         factory = feedback_squeezer_controller if feedback else squeezer_controller
         controller = factory(**cc, strict=strict_pr)
         augmented = augment(plant, controller)

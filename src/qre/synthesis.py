@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     CareFailure,
     CouplingSingular,
+    DomainError,
     QreError,
     ScalingTooLarge,
     ShapeMismatch,
@@ -65,8 +66,9 @@ class ScaledProblem:
     """The scaled H-infinity estimation data of one problem, or of a stack.
 
     Abar/C2bar/Sbar are the state, measurement and homodyne maps; B1bar,
-    C1bar, D12bar, D21bar the scaled disturbance/penalty maps; E1bar and
-    E2bar the control- and measurement-weighting Gramians.
+    C1bar, D12bar, D21bar the scaled disturbance/penalty maps; E2bar the
+    measurement-weighting Gramian.  D12bar = [0; -I], so the
+    control-weighting Gramian D12bar^dag D12bar is I and is not stored.
 
     One problem has (p, q) matrices and float gamma, eps1, eps2; a stack of
     K problems has (K, p, q) matrices and (K,) arrays, and ``s[index]`` (a
@@ -83,7 +85,6 @@ class ScaledProblem:
     C1bar: np.ndarray
     D12bar: np.ndarray
     D21bar: np.ndarray
-    E1bar: np.ndarray
     E2bar: np.ndarray
     gamma: float
     eps1: float
@@ -165,7 +166,7 @@ def assemble(system, u, S, gamma, eps1, eps2):
 
     eps1 and eps2 are scalars, or equal-length 1-D arrays of points.  The
     gates run per point, in order: gamma, eps1, eps2 positive and finite
-    (QreError), the scaling not saturated (ScalingTooLarge), E2bar
+    (DomainError), the scaling not saturated (ScalingTooLarge), E2bar
     nonsingular (SingularE2).  Arrays give the ScaledProblem stack of the
     points that pass, with the others' errors in its ``failures``; scalars
     give the one problem, or raise its error.  S or an uncertainty factor
@@ -197,7 +198,7 @@ def assemble(system, u, S, gamma, eps1, eps2):
     failures = {}
     ok = np.isfinite(e1) & (e1 > 0) & np.isfinite(e2) & (e2 > 0)
     ok &= bool(np.isfinite(gamma) and gamma > 0)
-    live, e1, e2 = _drop(failures, np.arange(e1.size), ok, lambda j: QreError(
+    live, e1, e2 = _drop(failures, np.arange(e1.size), ok, lambda j: DomainError(
         "gamma, eps1, eps2 must all be positive and finite"
     ), e1, e2)
 
@@ -239,7 +240,7 @@ def assemble(system, u, S, gamma, eps1, eps2):
         raise ValueError("matrix contains NaN or Inf entries")
     # the matrices every point shares, given the stack's K axis
     D12bar = np.vstack([np.zeros((E.shape[0] + r2p, l)), -np.eye(l)])
-    shared = dict(Abar=A, C2bar=C, Sbar=S, D12bar=D12bar, E1bar=D12bar.T @ D12bar)
+    shared = dict(Abar=A, C2bar=C, Sbar=S, D12bar=D12bar)
     T = _quadrature_map(getattr(system, "_layout", None), S, L, H1, H2, H3, E, G)
     if T is not None:
         shared["_quadrature"] = T
@@ -271,9 +272,7 @@ def _gamma(p):
 
 def _state_equation(p):
     """A, R, Q of the state Riccati equation in canonical form."""
-    P = np.eye(p.C1bar.shape[-2]) - p.D12bar @ np.linalg.solve(
-        p.E1bar, _conj_t(p.D12bar)
-    )
+    P = np.eye(p.C1bar.shape[-2]) - p.D12bar @ _conj_t(p.D12bar)
     R = p.B1bar @ _conj_t(p.B1bar) / _gamma(p) ** 2
     return p.Abar, R, _conj_t(p.C1bar) @ P @ p.C1bar
 
@@ -298,7 +297,7 @@ def _output_injection(p):
 def riccati_residual_x(p, X):
     """Relative residual of the state Riccati equation
     Abar^dag X + X Abar + X (gamma^-2 B1bar B1bar^dag) X
-    + C1bar^dag (I - D12bar E1bar^-1 D12bar^dag) C1bar = 0.
+    + C1bar^dag (I - D12bar D12bar^dag) C1bar = 0.
 
     ``p`` may also be a stack of problems, as synthesized over a grid, and
     X the stack of their solutions; the residuals are then an array."""
@@ -391,7 +390,7 @@ def _synthesize(s, gain_convention="reproduction", require_stable=False):
         Y @ _conj_t(C2) @ _conj_t(S) + B1 @ _conj_t(D21) @ _conj_t(S) / g2
     )) @ np.linalg.inv(s.E2bar)
     AK = s.Abar - BK @ S @ C2 + (B1 - BK @ S @ D21) @ _conj_t(B1) @ X / g2
-    CK = -np.linalg.solve(s.E1bar, _conj_t(s.D12bar)) @ s.C1bar
+    CK = -_conj_t(s.D12bar) @ s.C1bar
     abscissa = np.linalg.eigvals(AK).real.max(axis=-1)
     res_x, res_y = riccati_residual_x(s, X), riccati_residual_y(s, Y)
     live, s, xs, ys, Y, AK, BK, CK, abscissa, cond, res_x, res_y = _drop(

@@ -29,6 +29,7 @@ import numpy as np
 from qre.errors import (
     CareFailure,
     CouplingSingular,
+    DomainError,
     ImaginaryAxisEigenvalue,
     QreError,
     ResidualTooLarge,
@@ -101,9 +102,8 @@ def solve_care(inst, residual_tol=CARE_RESIDUAL_TOL):
 
 def riccati_residual_x(p, X):
     g2 = p.gamma**2
-    P = np.eye(p.C1bar.shape[0]) - p.D12bar @ np.linalg.solve(
-        p.E1bar, p.D12bar.conj().T
-    )
+    E1 = p.D12bar.conj().T @ p.D12bar
+    P = np.eye(p.C1bar.shape[0]) - p.D12bar @ np.linalg.solve(E1, p.D12bar.conj().T)
     Q = p.C1bar.conj().T @ P @ p.C1bar
     res = (
         p.Abar.conj().T @ X
@@ -136,11 +136,10 @@ def synthesize(p, gain_convention="reproduction", require_stable=False):
     g2 = g * g
     n = p.n
     B1, C1, C2 = p.B1bar, p.C1bar, p.C2bar
-    D21, S = p.D21bar, p.Sbar
+    D12, D21, S = p.D12bar, p.D21bar, p.Sbar
 
-    P = np.eye(C1.shape[0]) - p.D12bar @ np.linalg.solve(
-        p.E1bar, p.D12bar.conj().T
-    )
+    E1 = D12.conj().T @ D12
+    P = np.eye(C1.shape[0]) - D12 @ np.linalg.solve(E1, D12.conj().T)
     Qx = C1.conj().T @ P @ C1
     Rx = B1 @ B1.conj().T / g2
     try:
@@ -185,7 +184,7 @@ def synthesize(p, gain_convention="reproduction", require_stable=False):
         Y @ C2.conj().T @ S.conj().T + B1 @ D21.conj().T @ S.conj().T / g2
     )) @ np.linalg.inv(p.E2bar)
     AK = p.Abar - BK @ S @ C2 + (B1 - BK @ S @ D21) @ B1.conj().T @ X / g2
-    CK = -np.linalg.solve(p.E1bar, p.D12bar.conj().T) @ C1
+    CK = -np.linalg.solve(E1, D12.conj().T) @ C1
 
     abscissa = float(np.max(np.linalg.eigvals(AK).real))
     stable = abscissa < 0
@@ -297,7 +296,7 @@ def quadrature(system, u, S):
 
 def assemble(system, u, S, gamma, eps1, eps2):
     if not all(np.isfinite(x) and x > 0 for x in (gamma, eps1, eps2)):
-        raise QreError("gamma, eps1, eps2 must all be positive and finite")
+        raise DomainError("gamma, eps1, eps2 must all be positive and finite")
     A, B, C, D, L = system.A, system.B, system.C, system.D, system.L
     H1, H2, H3, E, G = u.H1, u.H2, u.H3, u.E, u.G
     S = as_cmatrix(S)
@@ -317,7 +316,6 @@ def assemble(system, u, S, gamma, eps1, eps2):
     D21bar = np.hstack(
         [D @ Mis, gamma / eps1 * H3, np.zeros((D.shape[0], H2.shape[1]))]
     )
-    E1bar = D12bar.conj().T @ D12bar
     Minv = Mis @ Mis
     E2bar = (
         S @ D @ Minv @ D.conj().T @ S.conj().T
@@ -329,7 +327,7 @@ def assemble(system, u, S, gamma, eps1, eps2):
         raise SingularE2(f"measurement weighting has eigenvalue {w[0]:.3e}")
     matrices = dict(
         Abar=A, C2bar=C, Sbar=S, B1bar=B1bar, C1bar=C1bar, D12bar=D12bar,
-        D21bar=D21bar, E1bar=E1bar, E2bar=E2bar,
+        D21bar=D21bar, E2bar=E2bar,
     )
     return ScaledProblem(
         **{name: as_cmatrix(m) for name, m in matrices.items()},

@@ -22,7 +22,6 @@ from qre.analysis import (
     loop_polynomial,
 )
 from qre.errors import (
-    ChannelOutOfRange,
     DomainError,
     QreError,
     ShapeMismatch,
@@ -185,14 +184,6 @@ class TestClosedLoopErrorSystem:
         # default channel keeps the first half of the doubled input block
         loop = series_study.closed_loop("classical", 0.0)
         assert loop.B.shape[1] == series_study.S.shape[0]
-
-    def test_channel_out_of_range(self, series_study):
-        p = series_study.plant
-        est = series_study.estimator("classical")
-        with pytest.raises(ChannelOutOfRange):
-            closed_loop_error_system(
-                p.A, p.B, p.C, p.D, p.L, series_study.S, est, channel=[5]
-            )
 
 
 class TestFrequencyResponse:
@@ -836,12 +827,8 @@ class TestSweepFailures:
         def builder(ds):
             return stack([first_order(d - 0.7) for d in ds])
 
-        with pytest.raises(
-            UnstableSystem,
-            match=r"delta=1\.0: spectral abscissa 0\.3 is not negative",
-        ):
-            delta_sweep(builder, [-1.0, 0.0, 1.0], allow_unstable=False)
-        # allowed by default: the peak gain on the axis, 1 / 0.3 at w = 0
+        # no error: the peak gain on the axis, 1 / 0.3 at w = 0, and the
+        # abscissa that marks the loop unstable
         res = delta_sweep(builder, [-1.0, 0.0, 1.0])
         assert res.norms[2] == pytest.approx(1 / 0.3, rel=1e-6)
         np.testing.assert_allclose(res.abscissa, [-1.7, -0.7, 0.3], rtol=1e-12)

@@ -177,9 +177,10 @@ class TestSweepCommand:
 
 
 class TestConfigErrors:
-    """A bad grid, angle list, parameter or estimand is a configuration
-    error that names its key, not a numpy error, an analysis error or an
-    empty output.  A dotted key names an entry of a group."""
+    """A bad grid, angle list, parameter, group or estimand is a
+    configuration error that names its key, not a numpy error, an analysis
+    error or an empty output.  A dotted key names an entry of a group, and
+    no key the whole file."""
 
     @pytest.mark.parametrize(
         "command, key, value, message",
@@ -217,19 +218,42 @@ class TestConfigErrors:
              "frequency_grid.mn is not a grid key (min, max, points)"),
             ("sweep", "delta_grid", {"point": 3},
              "delta_grid.point is not a grid key (min, max, points)"),
+            ("synthesize", "gamma", -0.65,
+             "gamma, eps1, eps2 must all be positive and finite"),
+            ("bode", "eps1", 0, "gamma, eps1, eps2 must all be positive and finite"),
+            ("sweep", "gamma", 1e400,
+             "gamma, eps1, eps2 must all be positive and finite"),
+            ("synthesize", None, 4.0, "the config file must hold a JSON object"),
+            ("synthesize", "plant", 4.0, "plant must map beta, kappa, chi and L"),
+            ("bode", "plant", [4.0, 4.0, 0.5],
+             "plant must map beta, kappa, chi and L"),
+            ("sweep", "controller", "squeezer",
+             "controller must map beta_c, kappa_c and chi_c"),
+            ("synthesize", "plant.kapa", 4.0,
+             "plant.kapa is not a plant key (beta, kappa, chi, L)"),
+            ("synthesize", "plant.kappa2", 2.0,
+             "plant.kappa2 is not a plant key (beta, kappa, chi, L)"),
+            ("bode", "controller.kappa_c2", 2.0,
+             "controller.kappa_c2 is not a controller key (beta_c, kappa_c, chi_c)"),
         ],
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
              "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
              "chi-not-a-number", "kappa_c-a-list", "mu-a-list", "L-three-entries",
              "grid-min-a-list", "grid-min-null", "grid-max-a-string",
              "grid-points-a-bool", "frequency-grid-unknown-key",
-             "delta-grid-unknown-key"],
+             "delta-grid-unknown-key", "gamma-negative", "eps1-zero",
+             "gamma-1e400", "file-a-number", "plant-a-number", "plant-a-list",
+             "controller-a-string", "plant-misspelt-key", "plant-feedback-key",
+             "controller-feedback-key"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):
         cfg = series_benchmark_config()
-        *group, name = key.split(".")
-        (cfg[group[0]] if group else cfg)[name] = value
+        if key is None:
+            cfg = value
+        else:
+            *group, name = key.split(".")
+            (cfg[group[0]] if group else cfg)[name] = value
         rc = main([command, "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path)])
         assert rc == 2

@@ -49,7 +49,6 @@ class TestAssembleClassical:
     def test_structure_constants(self, series_parts):
         plant, u, S = series_parts
         p = assemble(plant, u, S, 0.65, 0.19, 0.81)
-        np.testing.assert_allclose(p.E1bar, np.eye(1), atol=1e-14)
         np.testing.assert_array_equal(
             p.D12bar, np.vstack([np.zeros((6, 1)), -np.eye(1)])
         )
@@ -654,8 +653,8 @@ class TestStackedAssembly:
         eps1 = [0.19, np.nan, 0.19, -0.5, 0.19, 0.19, 0.0, 0.19]
         eps2 = [0.81, 0.81, 1.5, 0.81, np.inf, 1.0, 0.5, 0.5]
         assert assert_assembly_matches_reference(plant, u, S, 0.65, eps1, eps2) == [
-            "ScaledProblem", "QreError", "ScalingTooLarge", "QreError",
-            "QreError", "ScalingTooLarge", "QreError", "ScaledProblem",
+            "ScaledProblem", "DomainError", "ScalingTooLarge", "DomainError",
+            "DomainError", "ScalingTooLarge", "DomainError", "ScaledProblem",
         ]
         # with no feedthrough and no output uncertainty the measurement
         # weighting vanishes: every point past the scaling gate is singular
@@ -663,12 +662,12 @@ class TestStackedAssembly:
                                 D=np.zeros_like(plant.D), L=plant.L)
         u0 = squeezer_uncertainty(2.0, 0.0)
         assert assert_assembly_matches_reference(quiet, u0, S, 0.65, eps1, eps2) == [
-            "SingularE2", "QreError", "ScalingTooLarge", "QreError",
-            "QreError", "ScalingTooLarge", "QreError", "SingularE2",
+            "SingularE2", "DomainError", "ScalingTooLarge", "DomainError",
+            "DomainError", "ScalingTooLarge", "DomainError", "SingularE2",
         ]
         assert set(assert_assembly_matches_reference(
             plant, u, S, np.nan, eps1, eps2
-        )) == {"QreError"}
+        )) == {"DomainError"}
         # a faint output uncertainty: E2bar = 16 mu^2 (gamma / eps1)^2 is
         # singular at eps1 = 1 and not at eps1 = 0.19, within one block
         faint = squeezer_uncertainty(2.0, 1e-7)
