@@ -26,12 +26,7 @@ from .errors import (
     QreError,
     ScalingTooLarge,
 )
-from .presets import (
-    _group,
-    build_study,
-    feedback_benchmark_config,
-    series_benchmark_config,
-)
+from .presets import build_study, feedback_benchmark_config, series_benchmark_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,8 +56,6 @@ def _load_config(path):
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError("the config file must hold a JSON object")
-    if "topology" not in cfg:
-        raise ValueError("config missing 'topology'")
     return cfg
 
 
@@ -78,30 +71,6 @@ def _write_meta(outdir, command, config, extra=None):
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
-def _grid(config, key, defaults):
-    """min, max and points of the config grid ``key``, defaults filled in;
-    any other key of the grid is an error that names it."""
-    lo, hi, n = _group(config, key, ("min", "max", "points"), "grid", defaults).values()
-    if not (n >= 1 and n % 1 == 0):
-        raise ValueError(
-            f"{key}.points must be a whole number >= 1, got {config[key]['points']!r}"
-        )
-    return lo, hi, int(n)
-
-
-def _frequency_grid(config):
-    lo, hi, points = _grid(config, "frequency_grid", (1e-2, 1e2, 400))
-    if not (0 < lo < np.inf and 0 < hi < np.inf):
-        raise ValueError(
-            f"frequency_grid.min and .max must be positive and finite, got {lo}, {hi}"
-        )
-    return np.logspace(np.log10(lo), np.log10(hi), points)
-
-
-def _delta_grid(config):
-    return np.linspace(*_grid(config, "delta_grid", (-1.0, 1.0, 21)))
-
-
 def _estimator_record(est, name):
     """Every field of the estimator but the Riccati solutions."""
     record = {f.name: getattr(est, f.name) for f in fields(est)}
@@ -111,8 +80,7 @@ def _estimator_record(est, name):
     return {"name": name, **record}
 
 
-def cmd_synthesize(config, outdir):
-    study = build_study(config)
+def cmd_synthesize(study, config, outdir):
     name = "coherent" if study.has_controller else "classical"
     est = study.estimator(name)
     (outdir / "estimator.json").write_text(
@@ -124,17 +92,12 @@ def cmd_synthesize(config, outdir):
         f"spectral_abscissa={est.spectral_abscissa:.6f} stable={est.stable}"
     )
     print(f"wrote {outdir / 'estimator.json'}")
-    return EXIT_OK
 
 
-def cmd_bode(config, outdir):
-    return _write_bode(build_study(config), config, outdir, "bode")
-
-
-def _write_bode(study, config, outdir, command):
-    if not study.has_controller:
-        raise ValueError("bode needs a coherent_classical* topology (two curves)")
-    omegas = _frequency_grid(config)
+def cmd_bode(study, config, outdir, command="bode"):
+    """Both filters' gains over the frequency grid at the design delta:
+    write bode.csv and meta.json."""
+    omegas = study.frequencies
     delta = study.delta_design
     rows = []
     for label in study.channels:
@@ -148,28 +111,21 @@ def _write_bode(study, config, outdir, command):
         writer.writerow(["omega_rad_s", "mag_abs", "mag_db", "label"])
         for w, mag, db, label in rows:
             writer.writerow([f"{w:.12g}", f"{mag:.12g}", f"{db:.12g}", label])
-    _write_meta(
-        outdir,
-        command,
-        config,
-        {"delta": delta, "n_frequencies": len(omegas)},
-    )
+    _write_meta(outdir, command, config, {"delta": delta, "n_frequencies": len(omegas)})
     print(f"wrote {outdir / 'bode.csv'}")
-    return EXIT_OK
 
 
-def _sweep(study, config, outdir, command, rel_tol=1e-6):
+def cmd_sweep(study, config, outdir, command="sweep", rel_tol=1e-6):
     """Sweep both filters, write sweep.csv and meta.json, return the norms.
     The meta counts each channel's unstable loops and gives its largest
     spectral abscissa: where that is not negative, the peak gain is an
     L-infinity number, not an H-infinity norm."""
-    deltas = _delta_grid(config)
-    classical, coherent = study.sweep(deltas, rel_tol=rel_tol)
+    classical, coherent = study.sweep(study.deltas, rel_tol=rel_tol)
     cls, coh = (np.asarray(r.norms) for r in (classical, coherent))
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta", "hinf_classical", "hinf_coherent"])
-        for d, a, b in zip(deltas, cls, coh):
+        for d, a, b in zip(study.deltas, cls, coh):
             writer.writerow([f"{d:.12g}", f"{a:.12g}", f"{b:.12g}"])
         writer.writerow(["max", f"{cls.max():.12g}", f"{coh.max():.12g}"])
         writer.writerow(["min", f"{cls.min():.12g}", f"{coh.min():.12g}"])
@@ -184,18 +140,9 @@ def _sweep(study, config, outdir, command, rel_tol=1e-6):
         for r in (classical, coherent)
     }
     _write_meta(
-        outdir, command, config, {"n_deltas": len(deltas), "stability": stability}
+        outdir, command, config, {"n_deltas": len(study.deltas), "stability": stability}
     )
     return cls, coh
-
-
-def cmd_sweep(config, outdir, rel_tol):
-    study = build_study(config)
-    if not study.has_controller:
-        raise ValueError("sweep needs a coherent_classical* topology (two columns)")
-    _sweep(study, config, outdir, "sweep", rel_tol)
-    print(f"wrote {outdir / 'sweep.csv'}")
-    return EXIT_OK
 
 
 def cmd_reproduce(preset, outdir):
@@ -206,7 +153,7 @@ def cmd_reproduce(preset, outdir):
     study = build_study(config)
     failures = []
     if kind == "bode":
-        _write_bode(study, config, outdir, f"reproduce:{preset}")
+        cmd_bode(study, config, outdir, f"reproduce:{preset}")
         delta = study.delta_design
         n_cls = hinf_norm(study.closed_loop("classical", delta), allow_unstable=True)
         n_coh = hinf_norm(study.closed_loop("coherent", delta), allow_unstable=True)
@@ -216,7 +163,7 @@ def cmd_reproduce(preset, outdir):
                 f"at delta={delta}"
             )
     else:
-        cls, coh = _sweep(study, config, outdir, f"reproduce:{preset}")
+        cls, coh = cmd_sweep(study, config, outdir, f"reproduce:{preset}")
         if not np.all(coh < cls):
             failures.append("coherent peak gain not below classical at every delta")
         if which == "feedback":
@@ -271,7 +218,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create --out {args.out}: {exc.strerror}") from exc
         if args.command == "reproduce":
             if args.preset not in PRESETS:
                 print(f"unknown preset {args.preset!r}", file=sys.stderr)
@@ -280,15 +230,21 @@ def main(argv=None):
         config = _load_config(args.config)
         if args.strict_pr:
             config["strict_pr"] = True
+        study = build_study(config)
         if args.command == "synthesize":
-            return cmd_synthesize(config, outdir)
-        if args.command == "bode":
-            return cmd_bode(config, outdir)
-        return cmd_sweep(config, outdir, args.tol)
+            cmd_synthesize(study, config, outdir)
+        elif not study.has_controller:
+            raise ValueError(f"{args.command} needs a coherent_classical* topology")
+        elif args.command == "bode":
+            cmd_bode(study, config, outdir)
+        else:
+            cmd_sweep(study, config, outdir, rel_tol=args.tol)
+            print(f"wrote {outdir / 'sweep.csv'}")
+        return EXIT_OK
     except ScalingTooLarge as exc:
         print(f"config error: scaling not positive definite: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError, NotPhysicallyRealizable, DomainError) as exc:
+    except (ValueError, NotPhysicallyRealizable, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CareFailure as exc:

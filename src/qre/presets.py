@@ -28,7 +28,7 @@ from .quantum import (
     squeezer_plant,
 )
 from .synthesis import assemble, synthesize
-from .uncertainty import evaluate_deltas, squeezer_uncertainty
+from .uncertainty import delta_powers, evaluate_deltas, squeezer_uncertainty
 
 # bindings of this module that the benchmark's span tracer
 # (benchmarks/spans.py) wraps by name, imported ones included
@@ -97,6 +97,7 @@ class Study:
 
     ``problems`` maps each channel name to its scaled problem; the
     estimators and their loops are built on first use and kept.
+    ``frequencies`` and ``deltas`` are the configuration's grids.
     """
 
     plant: object
@@ -107,6 +108,8 @@ class Study:
     eps1: float
     eps2: float
     delta_design: float
+    frequencies: np.ndarray
+    deltas: np.ndarray
     augmented: object = None
     lifted: object = None
     problems: dict = field(default_factory=dict)
@@ -175,33 +178,60 @@ def _numeric(value, key, ndim=0, kinds="iuf"):
     return float(a) if ndim == 0 else a
 
 
-def _group(config, key, names, kind, defaults=None, matrix=None):
-    """The config group ``key``, a mapping over ``names`` (optional with
-    ``defaults``, one per name), as a dict of _numeric values; ``matrix``
+def _known(mapping, names, kind, at=""):
+    """``mapping``, checked to hold every key of ``names`` and no other: the
+    first key outside them, or else the first missing, raises a ValueError."""
+    unknown = sorted(set(mapping) - set(names))
+    if unknown:
+        raise ValueError(f"{at}{unknown[0]} is not a {kind} key ({', '.join(names)})")
+    missing = [k for k in names if k not in mapping]
+    if missing:
+        raise ValueError(f"{at}{missing[0]} is missing")
+    return mapping
+
+
+def _group(config, key, names, kind, defaults=(), matrix=None):
+    """The config group ``key``, a mapping over ``names`` (the last ones
+    optional with ``defaults``), as a dict of _numeric values; ``matrix``
     names an array entry.  Any other group raises a ValueError naming it."""
-    g = config[key] if defaults is None else config.get(key, {})
+    g = config[key]
     if not isinstance(g, dict):
         raise ValueError(f"{key} must map {', '.join(names[:-1])} and {names[-1]}")
-    unknown = sorted(set(g) - set(names))
-    if unknown:
-        raise ValueError(f"{key}.{unknown[0]} is not a {kind} key ({', '.join(names)})")
-    g = dict(zip(names, defaults or ()), **g)
+    g = _known({**dict(zip(names, defaults)), **g}, names, kind, f"{key}.")
     return {k: _numeric(g[k], f"{key}.{k}", *((2, "iufc") if k == matrix else ()))
             for k in names}
+
+
+def _grid(config, key, defaults):
+    """min, max and points of the config grid ``key``, defaults filled in."""
+    lo, hi, n = _group(config, key, ("min", "max", "points"), "grid", defaults).values()
+    if not (n >= 1 and n % 1 == 0):
+        raise ValueError(
+            f"{key}.points must be a whole number >= 1, got {config[key]['points']!r}"
+        )
+    return lo, hi, int(n)
+
+
+# the optional top-level keys; a classical topology does not read the controller
+_DEFAULTS = {"controller": {}, "delta_design": -1.0, "strict_pr": False,
+             "frequency_grid": {}, "delta_grid": {}}
+_KEYS = ("topology", "plant", "homodyne_angles_deg", "mu", "gamma", "eps1", "eps2",
+         *_DEFAULTS)
 
 
 def build_study(config):
     """Assemble a Study from a configuration mapping.
 
-    The configuration uses the same schema as the CLI: a ``topology``
-    discriminator (``classical``, ``coherent_classical``, ``classical_fb``
-    or ``coherent_classical_fb``) plus plant/controller parameter groups,
-    homodyne angles in degrees, and the scaling parameters gamma, eps1,
-    eps2.  A true ``strict_pr`` entry rejects physically unrealizable
-    plant/controller parameters.  A value that is not a number, a group
-    that is not a mapping of the topology's keys, or an L without a column
-    per plant state, raises a ValueError naming its key.
+    The schema is the CLI's (README has its table): a ``topology``
+    (``classical``, ``coherent_classical``, ``classical_fb`` or
+    ``coherent_classical_fb``), plant/controller parameter groups, homodyne
+    angles in degrees, the scaling parameters gamma, eps1, eps2, and the
+    optional ``delta_design``, ``strict_pr`` (true rejects physically
+    unrealizable parameters) and grids.  A key that is missing or outside
+    the schema, or a value of the wrong type, shape or range, raises a
+    ValueError or DomainError naming its key.
     """
+    config = _known({**_DEFAULTS, **config}, _KEYS, "config")
     topology = config["topology"]
     if topology not in (
         "classical",
@@ -210,12 +240,24 @@ def build_study(config):
         "coherent_classical_fb",
     ):
         raise ValueError(f"unknown topology {topology!r}")
-    strict_pr = bool(config.get("strict_pr", False))
+    strict_pr = config["strict_pr"]
+    if not isinstance(strict_pr, bool):
+        raise ValueError(f"strict_pr must be true or false, got {strict_pr!r}")
     angles = _numeric(config["homodyne_angles_deg"], "homodyne_angles_deg", ndim=1)
     S = homodyne_matrix(np.deg2rad(np.atleast_1d(angles)))
     mu, gamma, eps1, eps2 = (
         _numeric(config[k], k) for k in ("mu", "gamma", "eps1", "eps2")
     )
+    delta_design = _numeric(config["delta_design"], "delta_design")
+    if not abs(delta_design) <= 1:
+        raise ValueError(f"delta_design must lie in [-1, 1], got {delta_design}")
+    lo, hi, points = _grid(config, "frequency_grid", (1e-2, 1e2, 400))
+    if not (0 < lo < np.inf and 0 < hi < np.inf):
+        raise ValueError(
+            f"frequency_grid.min and .max must be positive and finite, got {lo}, {hi}"
+        )
+    deltas = np.linspace(*_grid(config, "delta_grid", (-1.0, 1.0, 21)))
+    delta_powers((), deltas)  # a delta outside [-1, 1] raises DomainError
 
     feedback = topology.endswith("_fb")
     pc = _group(config, "plant", (
@@ -226,13 +268,9 @@ def build_study(config):
     if np.atleast_2d(L).shape[1] != 2:
         raise ValueError(f"plant.L must have a column per plant state (2), "
                          f"got {config['plant']['L']!r}")
-    if feedback:
-        plant = feedback_squeezer_plant(**pc, L=L, strict=strict_pr)
-        alpha = np.sqrt(pc["kappa1"])
-    else:
-        plant = squeezer_plant(**pc, L=L, strict=strict_pr)
-        alpha = np.sqrt(pc["kappa"])
-    u = squeezer_uncertainty(alpha, mu)
+    factory = feedback_squeezer_plant if feedback else squeezer_plant
+    plant = factory(**pc, L=L, strict=strict_pr)
+    u = squeezer_uncertainty(np.sqrt(pc["kappa1" if feedback else "kappa"]), mu)
 
     controller = augmented = lifted = None
     if topology.startswith("coherent"):
@@ -259,7 +297,9 @@ def build_study(config):
         gamma=gamma,
         eps1=eps1,
         eps2=eps2,
-        delta_design=_numeric(config.get("delta_design", -1.0), "delta_design"),
+        delta_design=delta_design,
+        frequencies=np.logspace(np.log10(lo), np.log10(hi), points),
+        deltas=deltas,
         augmented=augmented,
         lifted=lifted,
     )

@@ -36,6 +36,21 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+MISSING = object()  # a value that deletes its key
+
+
+def edited(cfg, key, value):
+    """``cfg`` with its entry ``key`` (dotted for a group's entry) set to
+    ``value``, or deleted if that is MISSING."""
+    *group, name = key.split(".")
+    target = cfg[group[0]] if group else cfg
+    if value is MISSING:
+        del target[name]
+    else:
+        target[name] = value
+    return cfg
+
+
 class TestSynthesizeCommand:
     def test_classical_benchmark_matches_reference(self, tmp_path):
         cfg = series_benchmark_config()
@@ -177,10 +192,11 @@ class TestSweepCommand:
 
 
 class TestConfigErrors:
-    """A bad grid, angle list, parameter, group or estimand is a
-    configuration error that names its key, not a numpy error, an analysis
-    error or an empty output.  A dotted key names an entry of a group, and
-    no key the whole file."""
+    """A bad grid, angle list, parameter, group or estimand, and a missing
+    or unknown key, is a configuration error that names its key, whatever
+    the command, not a numpy error, an analysis error or an empty output.
+    A dotted key names an entry of a group, a MISSING value deletes the
+    key, and no key gives the whole file."""
 
     @pytest.mark.parametrize(
         "command, key, value, message",
@@ -235,6 +251,30 @@ class TestConfigErrors:
              "plant.kappa2 is not a plant key (beta, kappa, chi, L)"),
             ("bode", "controller.kappa_c2", 2.0,
              "controller.kappa_c2 is not a controller key (beta_c, kappa_c, chi_c)"),
+            ("synthesize", "gamma", MISSING, "gamma is missing"),
+            ("bode", "plant.beta", MISSING, "plant.beta is missing"),
+            ("sweep", None, edited(feedback_benchmark_config(), "mu", MISSING),
+             "mu is missing"),
+            ("synthesize", None,
+             edited(feedback_benchmark_config(), "controller.kappa_c2", MISSING),
+             "controller.kappa_c2 is missing"),
+            ("synthesize", "topology", MISSING, "topology is missing"),
+            ("synthesize", "gama", 1.0,
+             "gama is not a config key (topology, plant, homodyne_angles_deg, mu, "
+             "gamma, eps1, eps2, controller, delta_design, strict_pr, "
+             "frequency_grid, delta_grid)"),
+            ("synthesize", "strict_pr", "false",
+             "strict_pr must be true or false, got 'false'"),
+            ("synthesize", "delta_design", 1.5,
+             "delta_design must lie in [-1, 1], got 1.5"),
+            ("sweep", "delta_design", -1.01,
+             "delta_design must lie in [-1, 1], got -1.01"),
+            ("synthesize", "delta_grid", {"points": 0},
+             "delta_grid.points must be a whole number >= 1, got 0"),
+            ("bode", "delta_grid", {"min": -1.5},
+             "delta=-1.5 outside [-1, 1]"),
+            ("bode", "topology", "classical",
+             "bode needs a coherent_classical* topology"),
         ],
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
              "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
@@ -244,21 +284,28 @@ class TestConfigErrors:
              "delta-grid-unknown-key", "gamma-negative", "eps1-zero",
              "gamma-1e400", "file-a-number", "plant-a-number", "plant-a-list",
              "controller-a-string", "plant-misspelt-key", "plant-feedback-key",
-             "controller-feedback-key"],
+             "controller-feedback-key", "gamma-missing", "plant-beta-missing",
+             "feedback-mu-missing", "feedback-kappa_c2-missing", "topology-missing",
+             "misspelt-top-level-key", "strict_pr-a-string",
+             "delta_design-above-the-window", "delta_design-below-the-window",
+             "bad-grid-on-synthesize", "delta-grid-outside-on-bode",
+             "bode-on-a-classical-topology"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):
-        cfg = series_benchmark_config()
-        if key is None:
-            cfg = value
-        else:
-            *group, name = key.split(".")
-            (cfg[group[0]] if group else cfg)[name] = value
+        cfg = value if key is None else edited(series_benchmark_config(), key, value)
         rc = main([command, "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / f"{command}.csv").exists()
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["reproduce", "--preset", "fig3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot create --out {out}: File exists\n"
 
 
 class TestReproduceCommand:
