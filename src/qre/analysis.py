@@ -24,9 +24,9 @@ only picks its start point by modal gains; every gain after that is a
 resolvent solve.  The choice is made per system, so a system's norm does
 not depend on the other systems of its stack.  frequency_response and
 grid_peak_gain stay on the resolvent, the independent cross-check of the
-kernel: one unitary Hessenberg reduction H = Q^H A Q per system serves all
-its frequencies, each then an O(n^2) elimination run across a block of
-frequencies at once (Laub, IEEE TAC 26, 1981).
+kernel: one Hessenberg reduction H = Q^H A Q and one pole screen per system
+serve all its frequencies, each an O(n^2) elimination run across a block of
+frequencies that swaps rows only where a pivot moves (Laub, IEEE TAC 26, 1981).
 
 The kernel works on a stack of K systems of one shape: hinf_norm and
 frequency_response are its K = 1 case, and delta_sweep runs the stack of
@@ -175,15 +175,22 @@ def _at(k, error):
     return error
 
 
+def _near_axis(eigA):
+    """|Re lambda| <= 2e-12 |lambda|: twice the pole check's bound, for rounding."""
+    return np.abs(eigA.real) <= 2e-12 * np.abs(eigA)
+
+
 def _pole_offsets(eigA, W):
     """i w - lambda for each system k, frequency w in W[k] and eigenvalue
     lambda in eigA[k], as (K, N, n).  The first (system, frequency) pair
     within 1e-12 |lambda| of a pole raises SingularAtFrequency, an exact
     hit included at any scale.  (Within 1e-12 of the larger of |w| and
-    |lambda| is the same test, up to a factor 1 + 1e-12.)"""
+    |lambda| is the same test, up to a factor 1 + 1e-12.)  As |i w - lambda|
+    >= |Re lambda|, the test runs on the eigenvalues _near_axis alone."""
     offsets = np.repeat(1j * W[..., None], eigA.shape[-1], axis=2)
     offsets -= eigA[:, None]
-    near = (np.abs(offsets) <= 1e-12 * np.abs(eigA)[:, None]).any(axis=2)
+    c = _near_axis(eigA).any(axis=0)  # the eigenvalue columns that can be hit
+    near = (np.abs(offsets[..., c]) <= 1e-12 * np.abs(eigA[:, None, c])).any(axis=2)
     if near.any():
         k, j = np.argwhere(near)[0]
         raise _at(k, SingularAtFrequency(f"i*omega = {1j * W[k, j]} is a system pole"))
@@ -212,51 +219,59 @@ def _system_matrices(A, B, C, D):
 
 def _schur_complements(S, n, w):
     """D + C Q (i w I - H)^(-1) Q^H B, the Schur complement of i w I - H in
-    a system matrix S of _system_matrices, for each system k of a stack and
-    each frequency w in w[k], as (K, p, m, N).  Gaussian elimination with
-    partial pivoting runs over the first n columns, frequencies last: row
-    i + 1 meets column i only at the subdiagonal of H, the same for every w,
-    so each step pivots on the larger of it and the carried row's leading
-    entry and eliminates column i from the other row and the p rows below
-    H.  An exact zero pivot raises SingularAtFrequency."""
+    a system matrix S of _system_matrices, for each system k and frequency w
+    in w[k], as (K, p, m, N).  Gaussian elimination with partial pivoting
+    runs over the first n columns, frequencies last: row i + 1 meets column
+    i only at the subdiagonal of H, the same for every w, so each step
+    pivots on the larger of it and the carried row's leading entry (rows
+    swap only where the latter is smaller), eliminates column i from the other row
+    and the p rows below H, and raises SingularAtFrequency at a zero pivot."""
     N = w.shape[1]
     s = 1j * w
     row = np.repeat(S[:, 0, :, None], N, axis=2)  # carried row, columns i..
     row[:, 0] += s
-    low = np.repeat(S[:, n:, :, None], N, axis=3)  # the p rows below H
+    low = S[:, n:, :, None]  # the p rows below H, the same for every w until step 0
     for i in range(n):
         u = row
         if i + 1 < n:
-            below = np.repeat(S[:, i + 1, i:, None], N, axis=2)
-            below[:, 1] += s
-            swap = (np.abs(row[:, 0]) < np.abs(S[:, i + 1, i, None]))[:, None]
-            u, row = np.where(swap, below, row), np.where(swap, row, below)
+            below = S[:, i + 1, i:, None]  # row i + 1, less the i w on its diagonal
+            diag = below[:, 1] + s
+            swap = (np.abs(row[:, 0]) < np.abs(below[:, 0]))[:, None]
+            if swap.any():
+                below = np.repeat(below, N, axis=2)
+                below[:, 1] = diag
+                u, below = np.where(swap, below, row), np.where(swap, row, below)
+                diag = below[:, 1]
         if not u[:, 0].all():
             k, j = np.argwhere(u[:, 0] == 0)[0]
             raise _at(k, SingularAtFrequency(f"i*omega I - A is singular at {s[k, j]}"))
         if i + 1 < n:
-            row = row[:, 1:] - row[:, :1] / u[:, :1] * u[:, 1:]
-        low = low[:, :, 1:] - low[:, :, :1] / u[:, None, :1] * u[:, None, 1:]
+            row = below[:, :1] / u[:, :1] * u[:, 1:]
+            np.subtract(diag, row[:, 0], out=row[:, 0])
+            np.subtract(below[:, 2:], row[:, 1:], out=row[:, 1:])
+        t = low[:, :, :1] / u[:, None, :1] * u[:, None, 1:]
+        low = np.subtract(low[:, :, 1:], t, out=t)
     return low
 
 
-def _responses(A, B, C, D, eigA, W):
+def _responses(S, eigA, W):
     """G_k(i w) = C_k (i w I - A_k)^(-1) B_k + D_k for each system k of a
     stack and each of its frequencies w in W[k], as a (K, N, p, m) array.
 
-    A is (K, n, n), B (K, n, m), C (K, p, n), D (K, p, m), eigA (K, n) the
-    eigenvalues of A and W (K, N).  One Hessenberg reduction of each system
-    serves its frequencies, taken BLOCK // K columns at a time.
+    S is a (K, n + p, n + m) stack of _system_matrices, eigA (K, n) the
+    eigenvalues of A and W (K, N), taken BLOCK // K columns at a time; each
+    block's pole check tests the eigenvalues _near_axis alone, if any.
     """
     K, n = eigA.shape
     if n == 0:
-        return np.repeat(D[:, None], W.shape[1], axis=1)
-    S = _system_matrices(A, B, C, D)
-    out = np.empty(W.shape + D.shape[1:], dtype=complex)
+        return np.repeat(S[:, None], W.shape[1], axis=1)
+    poles = eigA[:, _near_axis(eigA).any(axis=0)]  # no other can be hit
+    out = np.empty(W.shape + (S.shape[1] - n, S.shape[2] - n), dtype=complex)
     step = max(BLOCK // K, 1)
     for start in range(0, W.shape[1], step):
         w = W[:, start : start + step]
-        _pole_offsets(eigA, w)
+        if poles.size:
+            _pole_offsets(poles, w)
         g = _schur_complements(S, n, w)
         out[:, start : start + w.shape[1]] = np.moveaxis(g, 3, 1)
     return out
@@ -272,12 +287,14 @@ def _sigma_max(g):
 
 
 def frequency_response(ss, omegas):
-    """G(i w) = C (i w I - A)^(-1) B + D at each listed frequency, as an
-    (N, p, m) complex array, from one Hessenberg reduction of A and an
-    elimination over blocks of BLOCK frequencies."""
+    """G(i w) = C (i w I - A)^(-1) B + D at each listed frequency (a
+    non-finite one raises ValueError), as an (N, p, m) complex array, from
+    one Hessenberg reduction of A and eliminations on BLOCK at a time."""
     A, B, C, D = (m[None] for m in (ss.A, ss.B, ss.C, ss.D))
     W = np.asarray(omegas, dtype=float).reshape(1, -1)
-    return _responses(A, B, C, D, np.linalg.eigvals(A), W)[0]
+    if not np.isfinite(W).all():
+        raise ValueError(f"frequencies must be finite, got {W[~np.isfinite(W)][0]}")
+    return _responses(_system_matrices(A, B, C, D), np.linalg.eigvals(A), W)[0]
 
 
 def _level_eigenvalues(A, B, C, D, gamma):
@@ -377,12 +394,15 @@ def _level_set(A, B, C, D, rel_tol, allow_unstable):
         return norms, np.full(A.shape[0], np.inf), abscissa
     R, cond = _residues(B, C, V)
     modal = cond <= MODAL_COND
+    S = np.empty((len(A), A.shape[1] + C.shape[1], A.shape[1] + B.shape[2]), complex)
+    if not modal.all():  # the resolvent's systems, reduced once for every step
+        S[~modal] = _system_matrices(*(x[~modal] for x in (A, B, C, D)))
 
     def modal_gains(k, W):
         return _modal_gains(R[k], D[k], eigA[k], W)
 
     def resolvent_gains(k, W):
-        return _sigma_max(_responses(A[k], B[k], C[k], D[k], eigA[k], W))
+        return _sigma_max(_responses(S[k], eigA[k], W))
 
     def gains(k, W):
         """Gains of the systems k at their frequencies W, (len(k), N): modal

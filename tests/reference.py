@@ -20,7 +20,13 @@ formula.  ``augment`` and ``lift_uncertainty`` must give the same matrices,
 up to the sign of a zero.
 
 The structure checks of the doubled-up formalism, which the package builds
-its models in but never tests for itself."""
+its models in but never tests for itself.
+
+The resolvent's elimination as qre ran it before it screened the poles once
+per system and swapped rows only where a pivot moves: the pole check on
+every eigenvalue of every block, and the next row and both row swaps built
+at every step.  ``analysis._responses`` must return the same bits and raise
+the same error for the same (system, frequency) pair."""
 
 from dataclasses import replace
 
@@ -35,6 +41,7 @@ from qre.errors import (
     ResidualTooLarge,
     ScalingTooLarge,
     ShapeMismatch,
+    SingularAtFrequency,
     SingularE2,
     SingularU1,
     UnstableEstimator,
@@ -48,6 +55,7 @@ from qre.linalg import (
     _check_hermitian,
     as_cmatrix,
 )
+from qre.analysis import BLOCK, _at, _system_matrices
 from qre.augmentation import AugmentedSystem
 from qre.synthesis import Estimator, ScaledProblem
 
@@ -446,3 +454,50 @@ def is_doubled(m, tol=1e-10):
         np.linalg.norm(m[p:, :q] - m[:p, q:].conj()),
     )
     return bool(err <= tol * scale)
+
+
+def pole_offsets(eigA, W):
+    offsets = np.repeat(1j * W[..., None], eigA.shape[-1], axis=2)
+    offsets -= eigA[:, None]
+    near = (np.abs(offsets) <= 1e-12 * np.abs(eigA)[:, None]).any(axis=2)
+    if near.any():
+        k, j = np.argwhere(near)[0]
+        raise _at(k, SingularAtFrequency(f"i*omega = {1j * W[k, j]} is a system pole"))
+    return offsets
+
+
+def schur_complements(S, n, w):
+    N = w.shape[1]
+    s = 1j * w
+    row = np.repeat(S[:, 0, :, None], N, axis=2)
+    row[:, 0] += s
+    low = np.repeat(S[:, n:, :, None], N, axis=3)
+    for i in range(n):
+        u = row
+        if i + 1 < n:
+            below = np.repeat(S[:, i + 1, i:, None], N, axis=2)
+            below[:, 1] += s
+            swap = (np.abs(row[:, 0]) < np.abs(S[:, i + 1, i, None]))[:, None]
+            u, row = np.where(swap, below, row), np.where(swap, row, below)
+        if not u[:, 0].all():
+            k, j = np.argwhere(u[:, 0] == 0)[0]
+            raise _at(k, SingularAtFrequency(f"i*omega I - A is singular at {s[k, j]}"))
+        if i + 1 < n:
+            row = row[:, 1:] - row[:, :1] / u[:, :1] * u[:, 1:]
+        low = low[:, :, 1:] - low[:, :, :1] / u[:, None, :1] * u[:, None, 1:]
+    return low
+
+
+def responses(A, B, C, D, eigA, W):
+    K, n = eigA.shape
+    if n == 0:
+        return np.repeat(D[:, None], W.shape[1], axis=1)
+    S = _system_matrices(A, B, C, D)
+    out = np.empty(W.shape + D.shape[1:], dtype=complex)
+    step = max(BLOCK // K, 1)
+    for start in range(0, W.shape[1], step):
+        w = W[:, start : start + step]
+        pole_offsets(eigA, w)
+        g = schur_complements(S, n, w)
+        out[:, start : start + w.shape[1]] = np.moveaxis(g, 3, 1)
+    return out

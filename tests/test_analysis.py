@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_synthesis import angle, estimand, positive, squeezing, uncertainty
 
+import reference
+
 from qre import analysis
 from qre.analysis import (
     BLOCK,
@@ -40,6 +42,11 @@ def stack(systems):
     """The (A, B, C, D) stacks of a list of systems of one shape, as a
     delta_sweep builder returns them."""
     return tuple(np.stack([getattr(s, x) for s in systems]) for x in "ABCD")
+
+
+def responses(A, B, C, D, eigA, W):
+    """The resolvent kernel on the (A, B, C, D) stacks of K systems."""
+    return analysis._responses(analysis._system_matrices(A, B, C, D), eigA, W)
 
 
 def max_singular_value(m):
@@ -246,6 +253,12 @@ class TestFrequencyResponse:
         ss = StateSpace([[1j * w * (1 + 1e-9)]], [[1.0]], [[1.0]], [[0.0]])
         assert np.isfinite(frequency_response(ss, [w])).all()
 
+    @pytest.mark.parametrize("omegas, bad", [([np.nan, np.inf, 1.0], "nan"),
+                                             ([1.0, 2.0, -np.inf], "-inf")])
+    def test_non_finite_frequency_raises(self, omegas, bad):
+        with pytest.raises(ValueError, match=f"^frequencies must be finite, got {bad}$"):
+            frequency_response(lag(), omegas)
+
     def test_empty_frequency_list(self):
         g = frequency_response(random_system(3), [])
         assert g.shape[0] == 0 and g.ndim == 3
@@ -296,7 +309,7 @@ class TestHessenbergKernel:
         rng = np.random.default_rng(seed)
         W = np.sort(rng.uniform(-20.0, 20.0, (3, BLOCK)), axis=1)
         A, B, C, D = stack(systems)
-        g = analysis._responses(A, B, C, D, np.linalg.eigvals(A), W)
+        g = responses(A, B, C, D, np.linalg.eigvals(A), W)
         for ss, w, gk in zip(systems, W, g):
             np.testing.assert_allclose(gk, loop_response(ss, w), rtol=1e-12)
 
@@ -352,9 +365,128 @@ class TestHessenbergKernel:
         monkeypatch.setattr(analysis, "_pole_offsets", lambda eigA, W: None)
         good, bad = self.system(-np.eye(len(a))), self.system(a)
         with pytest.raises(SingularAtFrequency, match=f"{1j * w}") as info:
-            analysis._responses(*stack([good, bad]), np.zeros((2, len(a))),
-                                np.array([[1.0, w], [1.0, w]]))
+            responses(*stack([good, bad]), np.zeros((2, len(a))),
+                      np.array([[1.0, w], [1.0, w]]))
         assert info.value.system == 1
+
+
+def assert_same_bits(got, want):
+    """The same array to the bit, signs of zeros included, or the same
+    error class and message, naming the same system."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, QreError):
+        assert (str(got), got.system) == (str(want), want.system)
+    else:
+        np.testing.assert_array_equal(got, want, strict=True)
+        assert got.tobytes() == want.tobytes()
+
+
+def check_same_bits(systems, W, eigA=None):
+    """analysis._responses against the frozen elimination of reference.py on
+    the stack of ``systems`` at frequencies W (a row per system)."""
+    A, B, C, D = stack(systems)
+    eigA = np.linalg.eigvals(A) if eigA is None else eigA
+    got = reference.outcome(responses, A, B, C, D, eigA, W)
+    assert_same_bits(got, reference.outcome(reference.responses, A, B, C, D, eigA, W))
+    return got
+
+
+class TestSameBitsAsTheFrozenElimination:
+    """The pole screen and the elimination that swaps only where a pivot
+    moves return what the frozen reference returns, to the bit, and raise
+    where it raises."""
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_a_stack_over_several_blocks(self, K):
+        systems = [random_system(K + k, feedthrough=True, shape=(5, 2, 3))
+                   for k in range(K)]
+        rng = np.random.default_rng(K)
+        W = np.sort(rng.uniform(-20.0, 20.0, (K, 2 * BLOCK + 37)), axis=1)
+        assert W.shape[1] > max(BLOCK // K, 1)
+        check_same_bits(systems, W)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_steps_that_swap_rows(self, seed):
+        # a subdiagonal larger than most leading entries: rows swap at most
+        # steps, and the small leading entry of the first row swaps near w = 2
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        a += np.diag(rng.uniform(5.0, 50.0, 5), -1)
+        small = np.array([[2j + 1e-9, 1.0, 2.0], [1.0, -1.0, 0.5], [0.0, 1.0, -2.0]])
+        W = np.linspace(-30.0, 30.0, BLOCK + 11)
+        for systems in ([TestHessenbergKernel.system(a, seed)],
+                        [TestHessenbergKernel.system(small, seed),
+                         TestHessenbergKernel.system(-np.eye(3) - np.eye(3, k=-1), seed)]):
+            check_same_bits(systems, np.tile(np.append(W, 2.0), (len(systems), 1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_shapes(self, n, p, m):
+        systems = [random_system(n + k, stable=k == 0, feedthrough=True,
+                                 shape=(n, p, m)) for k in range(2)]
+        W = np.tile(np.linspace(-8.0, 8.0, BLOCK + 5), (2, 1))
+        check_same_bits(systems, W)
+
+    def test_benchmark_loops_on_the_oracle_grid(self, series_study, feedback_study):
+        for study in (series_study, feedback_study):
+            loops = [study.closed_loop(name, d) for name in study.channels
+                     for d in (-1.0, 0.3)]
+            for ss in loops:
+                check_same_bits([ss], analysis.ORACLE_GRID[None])
+            same_n = [ss for ss in loops if len(ss.A) == len(loops[-1].A)]
+            check_same_bits(same_n, np.tile(analysis.ORACLE_GRID, (len(same_n), 1)))
+
+
+class TestPoleScreen:
+    """Only an eigenvalue with |Re lambda| <= 2e-12 |lambda| can come within
+    1e-12 |lambda| of i w; the kernel tests those alone, and raises as the
+    frozen reference raises."""
+
+    @pytest.mark.parametrize("ratio, screened, hit", [
+        (0.5e-12, True, True),   # within 1e-12 |lambda| of i w
+        (1.5e-12, True, False),  # screened in, but not that near
+        (3e-12, False, False),   # screened out
+    ])
+    def test_a_pole_beside_the_frequency(self, ratio, screened, hit):
+        w = 2.0
+        eigA = np.array([[-1.0, complex(-ratio * w, w)]])  # |Re| / |lambda| = ratio
+        assert analysis._near_axis(eigA).tolist() == [[False, screened]]
+        ss = StateSpace(np.diag(eigA[0]), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+        got = check_same_bits([ss], np.array([[1.0, w, 3.0]]), eigA)
+        assert isinstance(got, SingularAtFrequency) == hit
+
+    @pytest.mark.parametrize("j0, j1, system", [
+        (BLOCK // 2 + 7, 9, 1),  # system 1 hits in the first block, system 0 in the second
+        (9, BLOCK // 2 + 7, 0),
+        (20, 9, 0),              # one block: the first system, then the first frequency
+    ])
+    def test_hits_in_two_systems(self, j0, j1, system):
+        W = np.tile(np.linspace(0.0, 10.0, 2 * BLOCK), (2, 1))
+        eigA = np.array([[-1.0, 1j * W[0, j0]], [-2.0, 1j * W[1, j1]]])
+        systems = [StateSpace(np.diag(e), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+                   for e in eigA]
+        got = check_same_bits(systems, W, eigA)
+        assert isinstance(got, SingularAtFrequency) and got.system == system
+        assert str(got) == f"i*omega = {1j * W[system, (j0, j1)[system]]} is a system pole"
+
+    @pytest.mark.parametrize("zero, pole, pole_first", [
+        (9, BLOCK // 2 + 7, False),  # the zero pivot's block comes first
+        (BLOCK // 2 + 7, 9, True),
+        (20, 9, True),               # one block: its pole check runs first
+    ])
+    def test_a_pole_and_a_zero_pivot(self, zero, pole, pole_first):
+        # system 0's elimination meets an exact zero pivot at w = W[zero]
+        # while the eigenvalues passed for it stay clear of the axis; system
+        # 1's eigenvalues, as passed, put a pole at W[pole]
+        W = np.tile(np.linspace(0.0, 10.0, 2 * BLOCK), (2, 1))
+        systems = [StateSpace(np.diag([-1.0, 1j * W[0, zero]]), np.ones((2, 1)),
+                              np.ones((1, 2)), [[0.0]]),
+                   StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])]
+        eigA = np.array([[-1.0, -1.0], [-1.0, 1j * W[1, pole]]])
+        got = check_same_bits(systems, W, eigA)
+        assert isinstance(got, SingularAtFrequency)
+        assert ("system pole" in str(got), got.system) == (pole_first, int(pole_first))
 
 
 def check_against_bisection(ss, rel_tol):
@@ -538,15 +670,15 @@ class TestModalKernel:
         frequency columns of each resolvent solve."""
         systems, columns = [], []
         level_eigenvalues = analysis._level_eigenvalues
-        responses = analysis._responses
+        resolvent = analysis._responses
 
         def levels(A, B, C, D, gamma):
             systems.append(len(A))
             return level_eigenvalues(A, B, C, D, gamma)
 
-        def solves(A, B, C, D, eigA, W):
+        def solves(S, eigA, W):
             columns.append(W.size)
-            return responses(A, B, C, D, eigA, W)
+            return resolvent(S, eigA, W)
 
         monkeypatch.setattr(analysis, "_level_eigenvalues", levels)
         monkeypatch.setattr(analysis, "_responses", solves)
@@ -579,7 +711,7 @@ class TestModalKernel:
         assume(np.linalg.cond(V)[0] <= analysis.MODAL_COND)
         W = np.concatenate([analysis.GRID, eigA[0].imag,
                             np.linspace(-6.0, 6.0, 241)])[None]
-        exact = analysis._sigma_max(analysis._responses(A, B, C, D, eigA, W))
+        exact = analysis._sigma_max(responses(A, B, C, D, eigA, W))
         modal = analysis._modal_gains(analysis._residues(B, C, V)[0], D, eigA, W)
         np.testing.assert_allclose(modal, exact, rtol=0, atol=1e-9 * exact.max())
 
@@ -595,6 +727,34 @@ class TestModalKernel:
             g = frequency_response(ss, np.linspace(w - 0.05, w + 0.05, 20001))
             peak = analysis._sigma_max(g).max()
             assert norm == pytest.approx(peak, rel=self.rel_tol)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_reduction_per_level_set(self, seed, monkeypatch):
+        # the resolvent's systems are reduced to Hessenberg form once for
+        # the start and every step, with the bits of a reduction per call
+        systems = [random_system(seed, shape=(5, 1, 3)), jordan_system(seed, 5, 1, 3),
+                   jordan_system(seed + 1, 5, 1, 3)]
+        A, B, C, D = stack(systems)
+        reduce, calls = analysis._system_matrices, []
+
+        def counting(*abcd):
+            calls.append(len(abcd[0]))
+            return reduce(*abcd)
+
+        monkeypatch.setattr(analysis, "_system_matrices", counting)
+        analysis._level_set(A[:1], B[:1], C[:1], D[:1], self.rel_tol, False)
+        assert calls == []
+        once = analysis._level_set(A, B, C, D, self.rel_tol, False)
+        assert calls == [2]
+        # the unreduced system matrix goes through, and each resolvent call
+        # reduces its systems afresh, as the frozen reference does
+        monkeypatch.setattr(analysis, "_system_matrices",
+                            lambda A, B, C, D: np.block([[-A, B], [-C, D]]))
+        monkeypatch.setattr(analysis, "_responses", lambda S, eigA, W: reference.responses(
+            -S[:, :5, :5], S[:, :5, 5:], -S[:, 5:, :5], S[:, 5:, 5:], eigA, W))
+        each = analysis._level_set(A, B, C, D, self.rel_tol, False)
+        for got, want in zip(once, each):
+            assert_same_bits(got, want)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_a_jordan_block_leaves_its_stack_mates_alone(self, seed):

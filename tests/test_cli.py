@@ -300,6 +300,18 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / f"{command}.csv").exists()
 
+    def test_frequency_grid_that_overflows_exits_2(self, tmp_path, capsys):
+        # the largest float as max: the log-spaced grid's last point rounds
+        # up to inf, which frequency_response rejects
+        cfg = edited(series_benchmark_config(), "frequency_grid",
+                     {"min": 1e-3, "max": sys.float_info.max, "points": 3})
+        with np.errstate(over="ignore"):
+            rc = main(["bode", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: frequencies must be finite, got inf\n"
+        assert not (tmp_path / "bode.csv").exists()
+
     def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")
