@@ -8,8 +8,8 @@ feeds the plant's control input B2 and whose monitored output is measured.
 A series cascade is its case with zero-width ports (a plant with an n x 0
 B2, a controller with no control output and no field input of its own),
 which leaves the feedback connection out.  The augmented system and its
-lifted ``UncertaintyModel`` form the channel measured by the
-coherent-classical filter.
+lifted ``UncertaintyModel`` form a channel: the classical filter's behind
+``pass_through_controller``, the coherent-classical one's behind its own.
 """
 
 from dataclasses import dataclass, field, replace

@@ -81,7 +81,7 @@ def _estimator_record(est, name):
 
 
 def cmd_synthesize(study, config, outdir):
-    name = "coherent" if study.has_controller else "classical"
+    name = "coherent" if "coherent" in study.channels else "classical"
     est = study.estimator(name)
     (outdir / "estimator.json").write_text(
         json.dumps(_estimator_record(est, name), indent=2, sort_keys=True)
@@ -233,7 +233,7 @@ def main(argv=None):
         study = build_study(config)
         if args.command == "synthesize":
             cmd_synthesize(study, config, outdir)
-        elif not study.has_controller:
+        elif "coherent" not in study.channels:
             raise ValueError(f"{args.command} needs a coherent_classical* topology")
         elif args.command == "bode":
             cmd_bode(study, config, outdir)

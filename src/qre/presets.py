@@ -2,19 +2,19 @@
 
 A *study* bundles an uncertain squeezer plant, a coherent controller, the
 homodyne map and the scaling parameters, and exposes the two competing
-filters as named *channels*.  A channel is a measured system (fields A, B,
-C, D, L) paired with its ``UncertaintyModel``: ``"classical"`` measures the
-plant itself, ``"coherent"`` the plant/controller augmented system with the
-uncertainty lifted onto it.  Every channel goes through the same
-``assemble``, ``Study.estimator`` and ``Study.loop_polynomial``: the
-filter's closed loop as a polynomial in delta, built once per channel.
+filters as named *channels*.  A channel is the plant augmented with a
+controller, and the uncertainty lifted onto it: ``"classical"`` takes the
+``pass_through_controller``, ``"coherent"`` the study's own.  Every channel
+goes through the same ``assemble``, ``Study.estimator`` and
+``Study.loop_polynomial``: the filter's closed loop as a polynomial in
+delta, built once per channel.
 ``Study.closed_loop`` is its value at one delta and ``Study.sweep`` its
 stack over a grid.  Two benchmark parameter sets are provided, one for the
 series topology and one for the coherent-feedback topology.
 """
 
 from dataclasses import dataclass, field
-from functools import partialmethod
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .quantum import (
     feedback_squeezer_controller,
     feedback_squeezer_plant,
     homodyne_matrix,
+    pass_through_controller,
     squeezer_controller,
     squeezer_plant,
 )
@@ -91,14 +92,12 @@ def feedback_benchmark_config():
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Study:
-    """A fully assembled estimation study.
-
-    ``problems`` maps each channel name to its scaled problem; the
-    estimators and their loops are built on first use and kept.
-    ``frequencies`` and ``deltas`` are the configuration's grids.
-    """
+    """An estimation study's inputs, frozen; ``frequencies`` and ``deltas``
+    are the configuration's grids.  Everything else (``channels``,
+    ``problems``, the estimators and their loops) is derived from them on
+    first use and kept; ``dataclasses.replace`` gives a study of its own."""
 
     plant: object
     controller: object
@@ -110,23 +109,27 @@ class Study:
     delta_design: float
     frequencies: np.ndarray
     deltas: np.ndarray
-    augmented: object = None
-    lifted: object = None
-    problems: dict = field(default_factory=dict)
-    _estimators: dict = field(default_factory=dict, repr=False)
-    _loops: dict = field(default_factory=dict, repr=False)
+    _estimators: dict = field(default_factory=dict, init=False, repr=False)
+    _loops: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def has_controller(self):
-        return self.controller is not None
-
-    @property
+    @cached_property
     def channels(self):
-        """Measured system and its uncertainty model, per channel name."""
-        channels = {"classical": (self.plant, self.uncertainty)}
-        if self.augmented is not None:
-            channels["coherent"] = (self.augmented, self.lifted)
-        return channels
+        """Measured system and its uncertainty model, per channel name: the
+        plant augmented with the pass-through or the study's controller."""
+        p, u = self.plant, self.uncertainty
+        ctrls = {"classical": pass_through_controller(p), "coherent": self.controller}
+        return {name: (augment(p, c), lift_uncertainty(u, c, p))
+                for name, c in ctrls.items() if c is not None}
+
+    @cached_property
+    def problems(self):
+        """Each channel's scaled problem."""
+        return {name: assemble(system, u, self.S, self.gamma, self.eps1, self.eps2)
+                for name, (system, u) in self.channels.items()}
+
+    # read by the benchmark's design workload (benchmarks/workloads.py)
+    augmented = property(lambda self: self.channels["coherent"][0])
+    lifted = property(lambda self: self.channels["coherent"][1])
 
     def estimator(self, name):
         """The channel's filter at the design point."""
@@ -256,6 +259,11 @@ def build_study(config):
         raise ValueError(
             f"frequency_grid.min and .max must be positive and finite, got {lo}, {hi}"
         )
+    with np.errstate(over="ignore"):  # 10**log10(max) may round past the largest float
+        frequencies = np.logspace(np.log10(lo), np.log10(hi), points)
+    if not np.isfinite(frequencies).all():
+        raise ValueError(f"frequency_grid.{'max' if hi >= lo else 'min'} "
+                         f"{max(lo, hi)} overflows the log-spaced grid")
     deltas = np.linspace(*_grid(config, "delta_grid", (-1.0, 1.0, 21)))
     delta_powers((), deltas)  # a delta outside [-1, 1] raises DomainError
 
@@ -272,7 +280,7 @@ def build_study(config):
     plant = factory(**pc, L=L, strict=strict_pr)
     u = squeezer_uncertainty(np.sqrt(pc["kappa1" if feedback else "kappa"]), mu)
 
-    controller = augmented = lifted = None
+    controller = None
     if topology.startswith("coherent"):
         cc = _group(config, "controller", (
             ("beta_c", "kappa_c1", "kappa_c2", "chi_c") if feedback
@@ -280,14 +288,6 @@ def build_study(config):
         ), "controller")
         factory = feedback_squeezer_controller if feedback else squeezer_controller
         controller = factory(**cc, strict=strict_pr)
-        augmented = augment(plant, controller)
-        lifted = lift_uncertainty(u, controller, plant)
-    for system in (plant, augmented):
-        if system is not None and S.shape[1] != system.C.shape[0]:
-            raise ValueError(
-                f"homodyne_angles_deg gives {S.shape[0]} angles for a measured "
-                f"output of {system.C.shape[0] // 2} mode(s)"
-            )
 
     study = Study(
         plant=plant,
@@ -298,13 +298,14 @@ def build_study(config):
         eps1=eps1,
         eps2=eps2,
         delta_design=delta_design,
-        frequencies=np.logspace(np.log10(lo), np.log10(hi), points),
+        frequencies=frequencies,
         deltas=deltas,
-        augmented=augmented,
-        lifted=lifted,
     )
-    study.problems = {
-        name: assemble(system, model, S, gamma, eps1, eps2)
-        for name, (system, model) in study.channels.items()
-    }
+    for system, _ in study.channels.values():
+        if S.shape[1] != system.C.shape[0]:
+            raise ValueError(
+                f"homodyne_angles_deg gives {S.shape[0]} angles for a measured "
+                f"output of {system.C.shape[0] // 2} mode(s)"
+            )
+    study.problems  # assembled here, so that an assembly error raises here
     return study

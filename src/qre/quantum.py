@@ -8,7 +8,8 @@ Every plant has a control input B2 and every controller the two inputs and
 two outputs of a coherent-feedback controller.  A port that a topology does
 not use has zero width: the series squeezer plant has an n x 0 B2, and the
 series squeezer controller has no field input of its own and no control
-output, so B_c1, C_c, Dt_c1, D_c1 and D_c2 have a zero dimension.
+output, so B_c1, C_c, Dt_c1, D_c1 and D_c2 have a zero dimension.  The
+classical filter's controller, ``pass_through_controller``, has no states.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ __all__ = [
     "squeezer_controller",
     "feedback_squeezer_plant",
     "feedback_squeezer_controller",
+    "pass_through_controller",
 ]
 
 #: tolerance for the squeezer trace (realizability) conditions
@@ -165,6 +167,17 @@ def _check_realizable(lhs, rhs, strict, what):
     return ok
 
 
+def _squeezer_plant(beta, kappa, chi, L, ok, B2):
+    """The squeezer of both plant builders, given its control input B2."""
+    rk = np.sqrt(kappa)
+    return QuantumPlant(
+        A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)),
+        B1=-rk * np.eye(2), B2=B2, C=rk * np.eye(2), D1=np.eye(2),
+        L=np.atleast_2d(np.asarray(L, dtype=complex)),
+        physically_realizable=ok,
+    )
+
+
 def squeezer_plant(beta, kappa, chi, L, strict=False):
     """Single-input dynamic squeezer: A = omega(-beta/2, -chi),
     B1 = -sqrt(kappa) I, C = sqrt(kappa) I, D1 = I, and no control input
@@ -176,16 +189,7 @@ def squeezer_plant(beta, kappa, chi, L, strict=False):
     if beta <= 0 or kappa <= 0:
         raise DomainError("beta and kappa must be positive")
     ok = _check_realizable(beta, kappa, strict, "squeezer loss/coupling mismatch")
-    rk = np.sqrt(kappa)
-    return QuantumPlant(
-        A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)),
-        B1=-rk * np.eye(2),
-        B2=np.zeros((2, 0)),
-        C=rk * np.eye(2),
-        D1=np.eye(2),
-        L=np.atleast_2d(np.asarray(L, dtype=complex)),
-        physically_realizable=ok,
-    )
+    return _squeezer_plant(beta, kappa, chi, L, ok, np.zeros((2, 0)))
 
 
 def squeezer_controller(beta_c, kappa_c, chi_c, strict=False):
@@ -223,15 +227,7 @@ def feedback_squeezer_plant(beta, kappa1, kappa2, chi, L, strict=False):
     ok = _check_realizable(
         beta, kappa1 + kappa2, strict, "squeezer loss/coupling-sum mismatch"
     )
-    return QuantumPlant(
-        A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)),
-        B1=-np.sqrt(kappa1) * np.eye(2),
-        B2=-np.sqrt(kappa2) * np.eye(2),
-        C=np.sqrt(kappa1) * np.eye(2),
-        D1=np.eye(2),
-        L=np.atleast_2d(np.asarray(L, dtype=complex)),
-        physically_realizable=ok,
-    )
+    return _squeezer_plant(beta, kappa1, chi, L, ok, -np.sqrt(kappa2) * np.eye(2))
 
 
 def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False):
@@ -262,3 +258,13 @@ def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False
         D_c2=np.eye(2),
         physically_realizable=ok,
     )
+
+
+def pass_through_controller(plant):
+    """The classical filter's controller for ``plant``: no states, the plant
+    output passed to the detector (Dt_c2 = I) and its own field to the
+    plant's control input (D_c1 = I), so augmenting gives the plant back."""
+    p, r, z = plant.C.shape[0], plant.B2.shape[1], np.zeros
+    return CoherentController(
+        A_c=z((0, 0)), B_c1=z((0, r)), B_c2=z((0, p)), Ct_c=z((p, 0)), C_c=z((r, 0)),
+        Dt_c1=z((p, r)), Dt_c2=np.eye(p), D_c1=np.eye(r), D_c2=z((r, p)))

@@ -1,8 +1,8 @@
 """Robust H-infinity estimator synthesis.
 
 ``assemble`` builds the scaled estimation problem of one measured channel:
-a system with fields A, B, C, D, L (the plant for the classical filter, the
-plant/controller augmented system for the coherent-classical one), its
+a system with fields A, B, C, D, L (the plant augmented with the classical
+filter's pass-through controller or with the coherent controller), its
 uncertainty model and the homodyne map.  ``synthesize`` solves the two
 algebraic Riccati equations and builds the estimator.
 
@@ -158,9 +158,9 @@ def _quadrature_map(layout, S, L, H1, H2, H3, E, G):
 def assemble(system, u, S, gamma, eps1, eps2):
     """Scaled problem for a filter on the homodyne measurement of a channel.
 
-    ``system`` is the measured system (fields A, B, C, D, L): a plant, or a
-    plant/controller augmented system.  ``u`` is its uncertainty model.  The
-    scaling (I - eps2^2 G^dag G)^(-1/2) acts on all columns of B and D; the
+    ``system`` is the measured system (fields A, B, C, D, L), a study's
+    ``AugmentedSystem`` or a bare plant.  ``u`` is its uncertainty model.
+    The scaling (I - eps2^2 G^dag G)^(-1/2) acts on all columns of B and D; the
     uncertain block drives the leading inputs, so a G narrower than B gets
     zero columns for the rest (a plant's control input, a controller's field).
 

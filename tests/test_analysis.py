@@ -1108,10 +1108,9 @@ class TestLoopPolynomial:
         study = build_study(config)
         pattern = dict(f1_exponents=f1, f2_exponents=f2,
                        f1_scale=scales[0], f2_scale=scales[1])
+        # the channels are lifted from the replaced uncertainty
         study = dataclasses.replace(
-            study,
-            uncertainty=dataclasses.replace(study.uncertainty, **pattern),
-            lifted=dataclasses.replace(study.lifted, **pattern),
+            study, uncertainty=dataclasses.replace(study.uncertainty, **pattern)
         )
         name = "coherent" if coherent else "classical"
         system, u = study.channels[name]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,14 +303,18 @@ class TestConfigErrors:
 
     def test_frequency_grid_that_overflows_exits_2(self, tmp_path, capsys):
         # the largest float as max: the log-spaced grid's last point rounds
-        # up to inf, which frequency_response rejects
+        # up to inf, and the grid is rejected, with no overflow warning
         cfg = edited(series_benchmark_config(), "frequency_grid",
                      {"min": 1e-3, "max": sys.float_info.max, "points": 3})
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["bode", "--config", write_config(tmp_path, cfg),
                        "--out", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr().err == "config error: frequencies must be finite, got inf\n"
+        assert capsys.readouterr().err == (
+            f"config error: frequency_grid.max {sys.float_info.max} "
+            "overflows the log-spaced grid\n"
+        )
         assert not (tmp_path / "bode.csv").exists()
 
     def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):

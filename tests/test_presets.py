@@ -1,5 +1,9 @@
+import dataclasses
 import importlib
 import importlib.util
+import re
+import sys
+import warnings
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 
 from qre import presets
+from qre.augmentation import AugmentedSystem
 from qre.errors import NotPhysicallyRealizable
 from qre.presets import (
     build_study,
@@ -15,6 +20,7 @@ from qre.presets import (
     series_benchmark_config,
 )
 from qre.synthesis import synthesize
+from qre.uncertainty import squeezer_uncertainty
 
 CHANNELS = {
     "classical": ["classical"],
@@ -40,12 +46,44 @@ class TestBuildStudy:
         study = build_study(config_for(topology))
         assert list(study.channels) == CHANNELS[topology]
         assert list(study.problems) == CHANNELS[topology]
-        assert study.has_controller == ("coherent" in study.channels)
 
     @pytest.mark.parametrize("topology", ["coherent_clasical", "sideways", ""])
     def test_unknown_topology_raises(self, topology):
         with pytest.raises(ValueError, match=f"unknown topology {topology!r}"):
             build_study(config_for(topology))
+
+    @pytest.mark.parametrize("topology", sorted(CHANNELS))
+    def test_every_channel_is_an_augmented_system(self, topology):
+        # the classical channel is the plant behind the pass-through
+        # controller: the plant's own matrices and uncertainty, and, as the
+        # coherent channel, real output-injection equations (a quadrature map)
+        study = build_study(config_for(topology))
+        for name, (system, _) in study.channels.items():
+            assert isinstance(system, AugmentedSystem)
+            assert study.problems[name]._quadrature is not None
+        system, u = study.channels["classical"]
+        for m in "ABCDL":
+            np.testing.assert_array_equal(getattr(system, m), getattr(study.plant, m))
+        for m in ("H1", "H2", "H3", "E", "G"):
+            np.testing.assert_array_equal(getattr(u, m), getattr(study.uncertainty, m))
+
+    def test_default_frequency_grid(self):
+        np.testing.assert_array_equal(
+            build_study(series_benchmark_config()).frequencies,
+            np.logspace(-2, 2, 400),
+        )
+
+    def test_a_frequency_grid_that_overflows_at_min_names_min(self):
+        # a descending grid from the largest float: its first point rounds
+        # up to inf (the CLI test covers max), and no overflow warning
+        cfg = series_benchmark_config()
+        cfg["frequency_grid"] = {"min": sys.float_info.max, "max": 1.0, "points": 3}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                f"frequency_grid.min {sys.float_info.max} overflows"
+            )):
+                build_study(cfg)
 
     def test_strict_pr_is_read_from_the_config(self):
         cfg = series_benchmark_config()
@@ -57,6 +95,24 @@ class TestBuildStudy:
 
 
 class TestStudyChannels:
+    def test_a_replaced_study_derives_its_own_state(self):
+        # a copy with another uncertainty sweeps as a study built with it,
+        # and leaves the original's channels, filters and loops alone; an
+        # input cannot be assigned under the state derived from it
+        def at_one(s):
+            return [r.norms[0] for r in s.sweep([1.0])]
+
+        study = build_study(series_benchmark_config())
+        copy = dataclasses.replace(study, uncertainty=squeezer_uncertainty(2.0, 0.05))
+        got = at_one(copy)
+        assert got == at_one(build_study({**series_benchmark_config(), "mu": 0.05}))
+        assert got == pytest.approx([0.237625, 0.123172], abs=1e-6)
+        own = at_one(study)
+        assert own == at_one(build_study(series_benchmark_config()))
+        assert own == pytest.approx([0.651786, 0.114750], abs=1e-6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            study.uncertainty = copy.uncertainty
+
     def test_estimator_is_synthesized_once(self, series_study):
         for name in series_study.channels:
             assert series_study.estimator(name) is series_study.estimator(name)

@@ -16,12 +16,12 @@ from qre import synthesis
 from qre.errors import CareFailure, QreError, ScalingTooLarge, ShapeMismatch
 from qre.linalg import CARE_RESIDUAL_TOL, CareSolution, _conj_t, _solve_cares
 from qre.quantum import (
-    CoherentController,
     QuantumPlant,
     feedback_squeezer_controller,
     feedback_squeezer_plant,
     homodyne_matrix,
     omega,
+    pass_through_controller,
     squeezer_controller,
     squeezer_plant,
 )
@@ -299,38 +299,6 @@ class TestEpsGridSearch:
         assert (e1, e2, val) == (0.19, 0.81, 3.0)
 
 
-def pass_through_controller():
-    """Zero-state series controller whose monitored output is its input:
-    no field input of its own and no control output."""
-    return CoherentController(
-        A_c=np.zeros((0, 0)),
-        B_c1=np.zeros((0, 0)),
-        B_c2=np.zeros((0, 2)),
-        Ct_c=np.zeros((2, 0)),
-        C_c=np.zeros((0, 0)),
-        Dt_c1=np.zeros((2, 0)),
-        Dt_c2=np.eye(2),
-        D_c1=np.zeros((0, 0)),
-        D_c2=np.zeros((0, 2)),
-    )
-
-
-def pass_through_feedback_controller():
-    """Zero-state feedback-capable controller that passes the plant output
-    to the detector and its own input field to the plant's control port."""
-    return CoherentController(
-        A_c=np.zeros((0, 0)),
-        B_c1=np.zeros((0, 2)),
-        B_c2=np.zeros((0, 2)),
-        Ct_c=np.zeros((2, 0)),
-        C_c=np.zeros((2, 0)),
-        Dt_c1=np.zeros((2, 2)),
-        Dt_c2=np.eye(2),
-        D_c1=np.eye(2),
-        D_c2=np.zeros((2, 2)),
-    )
-
-
 def assemble_or_error(system, u, S, scaling):
     try:
         return assemble(system, u, S, *scaling)
@@ -366,10 +334,10 @@ angle = st.floats(-180.0, 180.0)
 
 
 class TestClassicalIsDegenerateCoherent:
-    """The classical channel is the plant behind a zero-state controller
-    with unit feedthrough: assembling it directly gives exactly the same
-    scaled problem as augmenting and lifting through that controller, or
-    the same assembly error."""
+    """The classical channel is the plant behind ``pass_through_controller``:
+    assembling the plant directly gives exactly the same scaled problem as
+    augmenting and lifting through that controller, or the same assembly
+    error."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(kappa=positive, chi=squeezing, L=estimand, mu=uncertainty,
@@ -378,7 +346,7 @@ class TestClassicalIsDegenerateCoherent:
         plant = squeezer_plant(kappa, kappa, chi, L, strict=True)
         u = squeezer_uncertainty(np.sqrt(kappa), mu)
         S = homodyne_matrix([np.deg2rad(theta)])
-        ctrl = pass_through_controller()
+        ctrl = pass_through_controller(plant)
         assert_same_problem(
             assemble_or_error(plant, u, S, scaling),
             assemble_or_error(
@@ -395,7 +363,7 @@ class TestClassicalIsDegenerateCoherent:
         )
         u = squeezer_uncertainty(np.sqrt(kappa1), mu)
         S = homodyne_matrix([np.deg2rad(theta)])
-        ctrl = pass_through_feedback_controller()
+        ctrl = pass_through_controller(plant)
         assert_same_problem(
             assemble_or_error(plant, u, S, scaling),
             assemble_or_error(
@@ -547,7 +515,7 @@ class TestStackedSynthesis:
                 plant = feedback_squeezer_plant(
                     kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
                 )
-                ctrl = pass_through_feedback_controller()
+                ctrl = pass_through_controller(plant)
                 channels = [(plant, u),
                             (augment(plant, ctrl),
                              lift_uncertainty(u, ctrl, plant))]
