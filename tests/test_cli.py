@@ -192,6 +192,63 @@ class TestSweepCommand:
         assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
 
 
+@pytest.fixture(
+    scope="module",
+    params=[("classical", series_benchmark_config),
+            ("classical_fb", feedback_benchmark_config)],
+    ids=["classical", "classical_fb"],
+)
+def classical_runs(request, tmp_path_factory):
+    """``bode`` and ``sweep`` on a classical topology and on the coherent
+    topology of the same benchmark plant: (exit code, output directory) by
+    (``"classical"`` or ``"coherent"``, command)."""
+    topology, benchmark = request.param
+    tmp = tmp_path_factory.mktemp(topology)
+    configs = {"classical": {**benchmark(), "topology": topology},
+               "coherent": benchmark()}
+    runs = {}
+    for kind, cfg in configs.items():
+        path = write_config(tmp, cfg, f"{kind}.json")
+        for command in ("bode", "sweep"):
+            out = tmp / f"{kind}-{command}"
+            rc = main([command, "--config", path, "--out", str(out)])
+            runs[kind, command] = rc, out
+    return runs
+
+
+class TestClassicalTopologies:
+    """The classical-only estimator, the paper's baseline, is the classical
+    channel of any study: on its own topologies ``bode`` and ``sweep`` write
+    that one channel, with the numbers a coherent study of the same plant
+    gives for its classical channel."""
+
+    @pytest.mark.parametrize("command", ["bode", "sweep"])
+    def test_exits_0(self, classical_runs, command):
+        assert classical_runs["classical", command][0] == 0
+
+    def test_sweep_writes_the_classical_column(self, classical_runs):
+        rows = read_csv(classical_runs["classical", "sweep"][1] / "sweep.csv")
+        assert rows[0] == ["delta", "hinf_classical"]
+        assert len(rows) == 1 + 21 + 3
+        assert [r[0] for r in rows[-3:]] == ["max", "min", "spread"]
+        coherent = read_csv(classical_runs["coherent", "sweep"][1] / "sweep.csv")
+        assert rows == [r[:2] for r in coherent]
+
+    def test_sweep_meta_reports_the_one_channel(self, classical_runs):
+        # under the default gain convention every classical loop is unstable
+        out = classical_runs["classical", "sweep"][1]
+        stability = json.loads((out / "meta.json").read_text())["stability"]
+        assert list(stability) == ["classical"]
+        assert stability["classical"]["unstable_deltas"] == 21
+
+    def test_bode_writes_the_classical_curve(self, classical_runs):
+        rows = read_csv(classical_runs["classical", "bode"][1] / "bode.csv")
+        assert len(rows) == 1 + 400
+        assert {r[3] for r in rows[1:]} == {"classical"}
+        coherent = read_csv(classical_runs["coherent", "bode"][1] / "bode.csv")
+        assert rows == [r for r in coherent if r[3] != "coherent"]
+
+
 class TestConfigErrors:
     """A bad grid, angle list, parameter, group or estimand, and a missing
     or unknown key, is a configuration error that names its key, whatever
@@ -274,8 +331,6 @@ class TestConfigErrors:
              "delta_grid.points must be a whole number >= 1, got 0"),
             ("bode", "delta_grid", {"min": -1.5},
              "delta=-1.5 outside [-1, 1]"),
-            ("bode", "topology", "classical",
-             "bode needs a coherent_classical* topology"),
         ],
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
              "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
@@ -289,8 +344,7 @@ class TestConfigErrors:
              "feedback-mu-missing", "feedback-kappa_c2-missing", "topology-missing",
              "misspelt-top-level-key", "strict_pr-a-string",
              "delta_design-above-the-window", "delta_design-below-the-window",
-             "bad-grid-on-synthesize", "delta-grid-outside-on-bode",
-             "bode-on-a-classical-topology"],
+             "bad-grid-on-synthesize", "delta-grid-outside-on-bode"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):
