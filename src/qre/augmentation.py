@@ -31,11 +31,11 @@ class AugmentedSystem:
     """State-space realization of the plant interconnected with a coherent
     controller, with the estimand row padded by zeros on the controller
     states.  Its fields are named as a plant's, so either serves as a
-    channel's measured system.  Where plant and controller are doubled-up,
-    ``augment`` declares the layout: two doubled-up subsystems, the plant's
-    states [a; a#] and then the controller's, and two input blocks, the
-    plant's disturbance field and then the controller's own.  A system
-    built by hand declares none."""
+    channel's measured system.  ``augment`` declares its layout from the
+    port sizes: two subsystems, the plant's states [a; a#] and then the
+    controller's, and two input blocks, the plant's disturbance field and
+    then the controller's own.  ``assemble`` checks the channel's matrices
+    against it.  A system built by hand declares none."""
 
     A: np.ndarray
     B: np.ndarray
@@ -68,7 +68,8 @@ def augment(plant, ctrl):
     B_a = [[B1 + B2 D_c2 D1, B2 D_c1], [B_c2 D1, B_c1]],
     C_a = [Dt_c2 C, Ct_c], D_a = [Dt_c2 D1, Dt_c1], L_a = [L, 0].
     The augmented input stacks the plant disturbance block and the
-    controller's own field, in that order.
+    controller's own field, in that order; the layout ``AugmentedSystem``
+    describes is read from these port sizes alone.
     """
     _check_ports(plant, ctrl)
     A, B1, B2, C, D, L = plant.A, plant.B1, plant.B2, plant.C, plant.D1, plant.L
@@ -80,9 +81,7 @@ def augment(plant, ctrl):
         C=np.hstack([Dtc2 @ C, Ctc]),
         D=np.hstack([Dtc2 @ D, Dtc1]),
         L=np.hstack([L, np.zeros((L.shape[0], Ac.shape[0]))]),
-        _layout=None if None in (plant._layout, ctrl._layout) else (
-            plant._layout[0] + ctrl._layout[0], (B1.shape[1], Bc1.shape[1])
-        ),
+        _layout=((A.shape[0], Ac.shape[0]), (B1.shape[1], Bc1.shape[1])),
     )
 
 

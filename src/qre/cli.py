@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``synthesize`` (emit estimator matrices), ``bode`` (frequency
-responses of every channel's filter: ``classical``, and ``coherent`` on the
-``coherent_*`` topologies), ``sweep`` (their peak gains across the
-uncertainty window), ``reproduce`` (run a named benchmark preset and check
-its assertions).  Exit codes: 0 success, 2 configuration error, 3 synthesis
-failure, 4 analysis failure, 5 failed acceptance assertion.
+Subcommands: ``synthesize`` (every channel's estimator matrices: the
+``classical`` filter's, and the ``coherent`` one's on the ``coherent_*``
+topologies), ``bode`` (their frequency responses), ``sweep`` (their peak
+gains across the uncertainty window), ``reproduce`` (run a named benchmark
+preset and check its assertions).  Exit codes: 0 success, 2 configuration
+error, 3 synthesis failure, 4 analysis failure, 5 failed acceptance assertion.
 """
 
 import argparse
@@ -72,26 +72,24 @@ def _write_meta(outdir, command, config, extra=None):
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
-def _estimator_record(est, name):
+def _estimator_record(est):
     """Every field of the estimator but the Riccati solutions."""
     record = {f.name: getattr(est, f.name) for f in fields(est)}
-    for m in ("X", "Y"):
-        del record[m]
+    del record["X"], record["Y"]
     record.update((m, matrix_to_json(record[m])) for m in ("A_K", "B_K", "C_K"))
-    return {"name": name, **record}
+    return record
 
 
 def cmd_synthesize(study, config, outdir):
-    name = "coherent" if "coherent" in study.channels else "classical"
-    est = study.estimator(name)
-    (outdir / "estimator.json").write_text(
-        json.dumps(_estimator_record(est, name), indent=2, sort_keys=True)
-    )
+    """Every channel's filter at the design point: write estimator.json, a
+    record per channel name, and meta.json."""
+    ests = {name: study.estimator(name) for name in study.channels}
+    records = {name: _estimator_record(est) for name, est in ests.items()}
+    (outdir / "estimator.json").write_text(json.dumps(records, indent=2, sort_keys=True))
     _write_meta(outdir, "synthesize", config)
-    print(
-        f"residual_x={est.residual_x:.3e} residual_y={est.residual_y:.3e} "
-        f"spectral_abscissa={est.spectral_abscissa:.6f} stable={est.stable}"
-    )
+    for name, est in ests.items():
+        print(f"{name}: residual_x={est.residual_x:.3e} residual_y={est.residual_y:.3e} "
+              f"spectral_abscissa={est.spectral_abscissa:.6f} stable={est.stable}")
     print(f"wrote {outdir / 'estimator.json'}")
 
 

@@ -46,19 +46,6 @@ def omega(m1, m2):
     return np.block([[m1, m2], [m2.conj(), m1.conj()]])
 
 
-def _doubled(*matrices):
-    """Whether each matrix is doubled-up to the bit, with rows and columns
-    laid out [a; a#]: its conjugate is itself with the halves of its rows
-    and of its columns swapped."""
-    for m in matrices:
-        p, q = m.shape[0] // 2, m.shape[1] // 2
-        if m.shape != (2 * p, 2 * q) or not (
-            (m[p:, q:] == m[:p, :q].conj()).all() and (m[p:, :q] == m[:p, q:].conj()).all()
-        ):
-            return False
-    return True
-
-
 def homodyne_matrix(angles):
     """Measurement map S = [S1 S2] with S1 = diag(e^{-i theta}/sqrt(2)),
     S2 = diag(e^{i theta}/sqrt(2)); rows are orthonormal (S S^dag = I).
@@ -100,12 +87,12 @@ class QuantumPlant:
         want = (self.C.shape[0], self.B1.shape[1])
         if self.D1.shape != want:
             raise ShapeMismatch(f"D1 has shape {self.D1.shape}, expected {want}")
-        # where every matrix of the realization is doubled-up, its layout:
-        # the state count of each doubled-up subsystem (one, [a; a#]) and
-        # the width of each doubled-up input block (B1's and B2's)
-        doubled = _doubled(self.A, self.B1, self.B2, self.C, self.D1)
-        layout = (n2,), (self.B1.shape[1], self.B2.shape[1])
-        object.__setattr__(self, "_layout", layout if doubled else None)
+
+    @property
+    def _layout(self):
+        """The layout ``assemble`` checks a bare plant against: one
+        subsystem, its states [a; a#], and the input blocks B1 and B2."""
+        return (self.A.shape[0],), (self.B1.shape[1], self.B2.shape[1])
 
     @property
     def B(self):
@@ -155,9 +142,6 @@ class CoherentController:
                 raise ShapeMismatch(
                     f"{name} has shape {getattr(self, name).shape}, expected {shape}"
                 )
-        # as a plant's: one subsystem, and the field and plant-output inputs
-        doubled = _doubled(*(getattr(self, name) for name in self._blocks))
-        object.__setattr__(self, "_layout", ((k,), (m1, p)) if doubled else None)
 
 
 def _check_realizable(lhs, rhs, strict, what):

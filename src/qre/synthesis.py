@@ -75,7 +75,8 @@ class ScaledProblem:
     position, a mask or positions) is its problem or sub-stack there, with
     no failures.  ``failures`` maps the position of each point ``assemble``
     was given that failed a gate to its error.  ``_quadrature`` is the
-    channel's ``_quadrature_map``.
+    channel's ``_quadrature_map``: T where the layout the measured system
+    declares fits all of the channel's data, else None.
     """
 
     Abar: np.ndarray
@@ -132,23 +133,24 @@ def _swap(blocks):
     return out
 
 
-def _quadrature_map(layout, S, L, H1, H2, H3, E, G):
+def _quadrature_map(layout, A, B, C, D, S, L, H1, H2, H3, E, G):
     """T = blockdiag([[I, iI], [I, -iI]] / sqrt(2)) over the doubled-up
     subsystems [a1 .. ak, a1# .. ak#] that the measured system's layout
     declares, or None.  The layout gives the state count of each subsystem
-    and the width of each doubled-up input block; the output [y; y#] is
-    one block.  The channel's data are doubled-up, so real in x = T x~,
-    when S measures quadratures and each Gram of the estimand L and of the
-    uncertainty factors is doubled-up too: to the bit, the conjugate of
-    each is itself with each a, y or input swapped for its conjugate."""
+    and the width of each input block; the output [y; y#] is one block.
+    The channel's data are real in x = T x~ exactly when they are
+    doubled-up: to the bit, the conjugate of A, B, C, D and S, and of each
+    Gram of the estimand L and of the uncertainty factors, is itself with
+    each a, y or input swapped for its conjugate."""
     if (layout is None or sum(layout[0]) != E.shape[1] or sum(layout[1]) != G.shape[1]
             or any(k % 2 for k in (*layout[0], *layout[1], S.shape[1]))):
         return None
     x, i, y = _swap(layout[0]), _swap(layout[1]), _swap((S.shape[1],))
     xy, H = x + [len(x) + j for j in y], np.vstack([H1, H3])
-    grams = ((S, slice(None), y), (H @ _conj_t(H), xy, xy), (_conj_t(G) @ G, i, i),
-             (np.stack([_conj_t(L) @ L, _conj_t(E) @ E, H2 @ _conj_t(H2)]), x, x))
-    if not all((m.conj() == m[..., r, :][..., c]).all() for m, r, c in grams):
+    blocks = ((A, x, x), (B, x, i), (C, y, x), (D, y, i), (S, slice(None), y),
+              (H @ _conj_t(H), xy, xy), (_conj_t(G) @ G, i, i),
+              (np.stack([_conj_t(L) @ L, _conj_t(E) @ E, H2 @ _conj_t(H2)]), x, x))
+    if not all((m.conj() == m[..., r, :][..., c]).all() for m, r, c in blocks):
         return None
     # column c of T is e_c + e_c# for an a and i (e_c# - e_c) for an a#
     d = np.where(np.array(x) < np.arange(len(x)), 1j, 1)
@@ -241,7 +243,8 @@ def assemble(system, u, S, gamma, eps1, eps2):
     # the matrices every point shares, given the stack's K axis
     D12bar = np.vstack([np.zeros((E.shape[0] + r2p, l)), -np.eye(l)])
     shared = dict(Abar=A, C2bar=C, Sbar=S, D12bar=D12bar)
-    T = _quadrature_map(getattr(system, "_layout", None), S, L, H1, H2, H3, E, G)
+    T = _quadrature_map(getattr(system, "_layout", None), A, B, C, D, S, L,
+                        H1, H2, H3, E, G)
     if T is not None:
         shared["_quadrature"] = T
     s = ScaledProblem(

@@ -272,19 +272,22 @@ def quadrature(system, u, S):
     system declares its layout: doubled-up subsystems, each laid out
     [a1 .. ak, a1# .. ak#], and doubled-up input blocks.  T is
     [[I, iI], [I, -iI]] / sqrt(2) per subsystem.  None unless, to the bit,
-    the conjugate of S, and of each Gram of the estimand and of the
-    uncertainty factors, is itself with every a, y and input swapped for
-    its conjugate (the measured output [y; y#] is one block)."""
+    the conjugate of the system's A, B, C, D, of S, and of each Gram of the
+    estimand and of the uncertainty factors, is itself with every a, y and
+    input swapped for its conjugate (the measured output [y; y#] is one
+    block)."""
     layout = getattr(system, "_layout", None)
     p = S.shape[1]
     if layout is None or p % 2 or any(k % 2 for k in layout[0] + layout[1]):
         return None
     x, i = layout
     G = np.hstack([u.G, np.zeros((u.G.shape[0], sum(i) - u.G.shape[1]))])
-    L, H1, H2, H3, E = as_cmatrix(system.L), u.H1, u.H2, u.H3, u.E
+    A, B, C, D, L = (as_cmatrix(getattr(system, m)) for m in "ABCDL")
+    H1, H2, H3, E = u.H1, u.H2, u.H3, u.E
     if not np.array_equal(S.conj(), np.hstack([S[:, p // 2:], S[:, :p // 2]])):
         return None
-    for m, rows, cols in [(L.conj().T @ L, x, x), (E.conj().T @ E, x, x),
+    for m, rows, cols in [(A, x, x), (B, x, i), (C, (p,), x), (D, (p,), i),
+                          (L.conj().T @ L, x, x), (E.conj().T @ E, x, x),
                           (H1 @ H1.conj().T, x, x), (H2 @ H2.conj().T, x, x),
                           (H1 @ H3.conj().T, x, (p,)), (H3 @ H3.conj().T, (p,), (p,)),
                           (G.conj().T @ G, i, i)]:

@@ -53,14 +53,17 @@ def edited(cfg, key, value):
 
 
 class TestSynthesizeCommand:
-    def test_classical_benchmark_matches_reference(self, tmp_path):
+    def test_classical_benchmark_matches_reference(self, tmp_path, capsys):
         cfg = series_benchmark_config()
         cfg["topology"] = "classical"
         cfg.pop("controller")
         rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path)])
         assert rc == 0
-        data = json.loads((tmp_path / "estimator.json").read_text())
+        records = json.loads((tmp_path / "estimator.json").read_text())
+        assert list(records) == ["classical"]
+        data = records["classical"]
+        assert capsys.readouterr().out.startswith("classical: residual_x=")
         ak = decode(data["A_K"])
         expected = np.array(
             [
@@ -97,6 +100,31 @@ class TestSynthesizeCommand:
                    "--out", str(tmp_path)])
         assert rc == 3
         assert "ARE" in capsys.readouterr().err
+
+    def test_every_channel_is_written(self, tmp_path, capsys):
+        rc = main(["synthesize", "--config",
+                   write_config(tmp_path, series_benchmark_config()),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        records = json.loads((tmp_path / "estimator.json").read_text())
+        assert list(records) == ["classical", "coherent"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["classical", "coherent"]
+        for name, line in zip(records, lines):
+            assert f"residual_x={records[name]['residual_x']:.3e}" in line
+
+    @pytest.mark.parametrize("command", ["synthesize", "bode"])
+    def test_classical_failure_on_a_coherent_topology_exits_3(self, tmp_path,
+                                                               capsys, command):
+        # at gamma = 0.3 the feedback benchmark's coherent filter solves and
+        # its classical one does not
+        cfg = feedback_benchmark_config()
+        cfg["gamma"] = 0.3
+        rc = main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("synthesis error: ARE for X failed")
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
     def test_unknown_topology_exits_2(self, tmp_path, capsys):
         cfg = series_benchmark_config()
@@ -199,9 +227,9 @@ class TestSweepCommand:
     ids=["classical", "classical_fb"],
 )
 def classical_runs(request, tmp_path_factory):
-    """``bode`` and ``sweep`` on a classical topology and on the coherent
-    topology of the same benchmark plant: (exit code, output directory) by
-    (``"classical"`` or ``"coherent"``, command)."""
+    """``synthesize``, ``bode`` and ``sweep`` on a classical topology and on
+    the coherent topology of the same benchmark plant: (exit code, output
+    directory) by (``"classical"`` or ``"coherent"``, command)."""
     topology, benchmark = request.param
     tmp = tmp_path_factory.mktemp(topology)
     configs = {"classical": {**benchmark(), "topology": topology},
@@ -209,7 +237,7 @@ def classical_runs(request, tmp_path_factory):
     runs = {}
     for kind, cfg in configs.items():
         path = write_config(tmp, cfg, f"{kind}.json")
-        for command in ("bode", "sweep"):
+        for command in ("synthesize", "bode", "sweep"):
             out = tmp / f"{kind}-{command}"
             rc = main([command, "--config", path, "--out", str(out)])
             runs[kind, command] = rc, out
@@ -218,13 +246,22 @@ def classical_runs(request, tmp_path_factory):
 
 class TestClassicalTopologies:
     """The classical-only estimator, the paper's baseline, is the classical
-    channel of any study: on its own topologies ``bode`` and ``sweep`` write
-    that one channel, with the numbers a coherent study of the same plant
-    gives for its classical channel."""
+    channel of any study: on its own topologies ``synthesize``, ``bode`` and
+    ``sweep`` write that one channel, with the numbers a coherent study of
+    the same plant gives for its classical channel."""
 
-    @pytest.mark.parametrize("command", ["bode", "sweep"])
+    @pytest.mark.parametrize("command", ["synthesize", "bode", "sweep"])
     def test_exits_0(self, classical_runs, command):
         assert classical_runs["classical", command][0] == 0
+
+    def test_synthesize_writes_the_classical_record(self, classical_runs):
+        records = {
+            kind: json.loads((classical_runs[kind, "synthesize"][1]
+                              / "estimator.json").read_text())
+            for kind in ("classical", "coherent")
+        }
+        assert list(records["coherent"]) == ["classical", "coherent"]
+        assert records["classical"] == {"classical": records["coherent"]["classical"]}
 
     def test_sweep_writes_the_classical_column(self, classical_runs):
         rows = read_csv(classical_runs["classical", "sweep"][1] / "sweep.csv")

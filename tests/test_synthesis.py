@@ -815,14 +815,19 @@ class TestQuadratureCoordinates:
         assert np.abs(A.imag).max() > 0.1 * np.abs(A).max()
 
     @pytest.mark.parametrize("channel", ["augmented-by-hand", "plant-not-doubled",
+                                         "controller-not-doubled",
                                          "estimand-not-doubled",
                                          "uncertainty-not-doubled", "not-homodyne"])
     def test_other_channels_keep_the_complex_path(self, series_study, channel):
         system, u = series_study.channels["coherent"]
         S = series_study.S
+        not_doubled = [[-2.0, -0.5], [-0.3, -2.0]]
         if channel == "plant-not-doubled":
-            plant = replace(series_study.plant, A=[[-2.0, -0.5], [-0.3, -2.0]])
+            plant = replace(series_study.plant, A=not_doubled)
             system = augment(plant, series_study.controller)
+        elif channel == "controller-not-doubled":
+            ctrl = replace(series_study.controller, A_c=not_doubled)
+            system = augment(series_study.plant, ctrl)
         elif channel == "augmented-by-hand":
             system = AugmentedSystem(**{m: getattr(system, m) for m in "ABCDL"})
         elif channel == "estimand-not-doubled":
@@ -838,5 +843,8 @@ class TestQuadratureCoordinates:
         ), grid, grid)
         assert all(p._quadrature is None for p in problems)
         assert {c[:2] for c in stacked_cares(problems)} == {(0, True), (1, False)}
-        # the complex path is the per-problem reference's, to the bit
+        # the complex path is the per-problem reference's, to the bit, and
+        # the reference's rule finds no quadrature map either
+        assert_assembly_matches_reference(system, u, S, series_study.gamma,
+                                          *row_major(grid, grid))
         assert "Estimator" in assert_stack_matches_reference(problems)
