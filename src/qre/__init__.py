@@ -56,7 +56,6 @@ from .synthesis import (
 from .uncertainty import (
     DeltaTriple,
     UncertaintyModel,
-    contraction_check,
     evaluate_deltas,
     squeezer_uncertainty,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "DeltaTriple",
     "squeezer_uncertainty",
     "evaluate_deltas",
-    "contraction_check",
     "AugmentedSystem",
     "augment",
     "lift_uncertainty",

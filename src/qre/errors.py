@@ -26,7 +26,7 @@ class ResidualTooLarge(QreError):
 
 
 class NotPhysicallyRealizable(QreError):
-    """A squeezer trace condition (loss = sum of couplings) is violated."""
+    """A model fails A J + J A^dag + B J B^dag = 0, J = diag(I, -I) per block."""
 
 
 class WrongTopology(QreError):

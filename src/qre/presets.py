@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import closed_loop_error_system, delta_sweep, loop_polynomial
 from .augmentation import augment, lift_uncertainty
+from .errors import DomainError
 from .quantum import (
     feedback_squeezer_controller,
     feedback_squeezer_plant,
@@ -167,10 +168,11 @@ class Study:
         )
 
 
-def _numeric(value, key, ndim=0, kinds="iuf"):
+def _numeric(value, key, ndim=0, kinds="iuf", finite=False):
     """A config value as a float (ndim 0) or an array of at most ``ndim``
     axes of numbers of the numpy ``kinds``; anything else raises a
-    ValueError that names ``key``."""
+    ValueError that names ``key``, and with ``finite`` a value that is not
+    finite a DomainError."""
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged list
@@ -178,6 +180,8 @@ def _numeric(value, key, ndim=0, kinds="iuf"):
     if a.dtype.kind not in kinds or a.ndim > ndim:
         what = "a number" if ndim == 0 else "a list of numbers"
         raise ValueError(f"{key} must be {what}, got {value!r}")
+    if finite and not np.isfinite(a).all():
+        raise DomainError(f"{key} must be finite, got {value!r}")
     return float(a) if ndim == 0 else a
 
 
@@ -193,16 +197,17 @@ def _known(mapping, names, kind, at=""):
     return mapping
 
 
-def _group(config, key, names, kind, defaults=(), matrix=None):
+def _group(config, key, names, kind, defaults=(), matrix=None, finite=False):
     """The config group ``key``, a mapping over ``names`` (the last ones
-    optional with ``defaults``), as a dict of _numeric values; ``matrix``
-    names an array entry.  Any other group raises a ValueError naming it."""
+    optional with ``defaults``), as a dict of _numeric values (``finite``
+    passed on); ``matrix`` names an array entry.  Any other group raises a
+    ValueError naming it."""
     g = config[key]
     if not isinstance(g, dict):
         raise ValueError(f"{key} must map {', '.join(names[:-1])} and {names[-1]}")
     g = _known({**dict(zip(names, defaults)), **g}, names, kind, f"{key}.")
-    return {k: _numeric(g[k], f"{key}.{k}", *((2, "iufc") if k == matrix else ()))
-            for k in names}
+    return {k: _numeric(g[k], f"{key}.{k}", *((2, "iufc") if k == matrix else ()),
+                        finite=finite) for k in names}
 
 
 def _grid(config, key, defaults):
@@ -271,21 +276,24 @@ def build_study(config):
     pc = _group(config, "plant", (
         ("beta", "kappa1", "kappa2", "chi", "L") if feedback
         else ("beta", "kappa", "chi", "L")
-    ), "plant", matrix="L")
+    ), "plant", matrix="L", finite=True)
     L = pc.pop("L")
     if np.atleast_2d(L).shape[1] != 2:
         raise ValueError(f"plant.L must have a column per plant state (2), "
                          f"got {config['plant']['L']!r}")
+    coupling = "kappa1" if feedback else "kappa"  # the one the uncertainty scales
+    if not pc[coupling] > 0:
+        raise DomainError(f"plant.{coupling} must be positive, got {pc[coupling]}")
     factory = feedback_squeezer_plant if feedback else squeezer_plant
     plant = factory(**pc, L=L, strict=strict_pr)
-    u = squeezer_uncertainty(np.sqrt(pc["kappa1" if feedback else "kappa"]), mu)
+    u = squeezer_uncertainty(np.sqrt(pc[coupling]), mu)
 
     controller = None
     if topology.startswith("coherent"):
         cc = _group(config, "controller", (
             ("beta_c", "kappa_c1", "kappa_c2", "chi_c") if feedback
             else ("beta_c", "kappa_c", "chi_c")
-        ), "controller")
+        ), "controller", finite=True)
         factory = feedback_squeezer_controller if feedback else squeezer_controller
         controller = factory(**cc, strict=strict_pr)
 

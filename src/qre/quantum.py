@@ -31,7 +31,7 @@ __all__ = [
     "pass_through_controller",
 ]
 
-#: tolerance for the squeezer trace (realizability) conditions
+#: relative tolerance of the physical-realizability condition
 REALIZABILITY_TOL = 1e-12
 
 
@@ -74,7 +74,6 @@ class QuantumPlant:
     C: np.ndarray
     D1: np.ndarray
     L: np.ndarray
-    physically_realizable: bool = True
 
     def __post_init__(self):
         for name in ("A", "B1", "B2", "C", "D1", "L"):
@@ -90,9 +89,14 @@ class QuantumPlant:
 
     @property
     def _layout(self):
-        """The layout ``assemble`` checks a bare plant against: one
+        """The layout ``assemble`` and the realizability condition read: one
         subsystem, its states [a; a#], and the input blocks B1 and B2."""
         return (self.A.shape[0],), (self.B1.shape[1], self.B2.shape[1])
+
+    @property
+    def physically_realizable(self):
+        """Whether A and B meet the realizability condition."""
+        return _realizable(self.A, self.B, self._layout)
 
     @property
     def B(self):
@@ -124,7 +128,6 @@ class CoherentController:
     Dt_c2: np.ndarray
     D_c1: np.ndarray
     D_c2: np.ndarray
-    physically_realizable: bool = True
 
     _blocks = "A_c B_c1 B_c2 Ct_c C_c Dt_c1 Dt_c2 D_c1 D_c2".split()
 
@@ -143,23 +146,45 @@ class CoherentController:
                     f"{name} has shape {getattr(self, name).shape}, expected {shape}"
                 )
 
+    @property
+    def physically_realizable(self):
+        """Whether A_c and [B_c1, B_c2] meet the realizability condition."""
+        layout = (self.A_c.shape[0],), (self.B_c1.shape[1], self.B_c2.shape[1])
+        return _realizable(self.A_c, np.hstack([self.B_c1, self.B_c2]), layout)
 
-def _check_realizable(lhs, rhs, strict, what):
-    ok = abs(lhs - rhs) <= REALIZABILITY_TOL * max(1.0, abs(lhs), abs(rhs))
-    if strict and not ok:
-        raise NotPhysicallyRealizable(f"{what}: {lhs} != {rhs}")
-    return ok
+
+def _realizable(A, B, layout):
+    """Whether A J + J A^dag + B J B^dag = 0, with J = diag(I, -I) over each
+    doubled-up block of the layout's states and inputs (the physical
+    realizability of James, Nurdin & Petersen, IEEE TAC 53, 2008), to
+    REALIZABILITY_TOL relative to |A| + |B|^2 (Frobenius norms).  A layout
+    with an odd-sized block has no doubled-up form, so fails it."""
+    if any(n % 2 for sizes in layout for n in sizes):
+        return False
+    jx, ju = (np.concatenate([np.repeat([1.0, -1.0], n // 2) for n in sizes])
+              for sizes in layout)
+    R = A * jx + jx[:, None] * A.conj().T + (B * ju) @ B.conj().T
+    scale = np.linalg.norm(A) + np.linalg.norm(B) ** 2
+    return bool(np.linalg.norm(R) <= REALIZABILITY_TOL * scale)
 
 
-def _squeezer_plant(beta, kappa, chi, L, ok, B2):
+def _strict(model, strict, what):
+    """``model``, which in strict mode must meet the realizability condition."""
+    if strict and not model.physically_realizable:
+        raise NotPhysicallyRealizable(
+            f"{what} is not physically realizable: A J + J A^dag + B J B^dag != 0"
+        )
+    return model
+
+
+def _squeezer_plant(beta, kappa, chi, L, B2, strict):
     """The squeezer of both plant builders, given its control input B2."""
     rk = np.sqrt(kappa)
-    return QuantumPlant(
+    return _strict(QuantumPlant(
         A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)),
         B1=-rk * np.eye(2), B2=B2, C=rk * np.eye(2), D1=np.eye(2),
         L=np.atleast_2d(np.asarray(L, dtype=complex)),
-        physically_realizable=ok,
-    )
+    ), strict, "plant")
 
 
 def squeezer_plant(beta, kappa, chi, L, strict=False):
@@ -167,13 +192,12 @@ def squeezer_plant(beta, kappa, chi, L, strict=False):
     B1 = -sqrt(kappa) I, C = sqrt(kappa) I, D1 = I, and no control input
     (B2 is 2 x 0).
 
-    Physically realizable iff beta equals kappa; in strict mode a
-    violation raises, otherwise it is recorded on the result.
+    Physically realizable iff beta equals kappa; in strict mode an
+    unrealizable plant raises, otherwise ``physically_realizable`` says so.
     """
     if beta <= 0 or kappa <= 0:
         raise DomainError("beta and kappa must be positive")
-    ok = _check_realizable(beta, kappa, strict, "squeezer loss/coupling mismatch")
-    return _squeezer_plant(beta, kappa, chi, L, ok, np.zeros((2, 0)))
+    return _squeezer_plant(beta, kappa, chi, L, np.zeros((2, 0)), strict)
 
 
 def squeezer_controller(beta_c, kappa_c, chi_c, strict=False):
@@ -184,9 +208,8 @@ def squeezer_controller(beta_c, kappa_c, chi_c, strict=False):
     output have zero width.  Realizable iff beta_c = kappa_c."""
     if beta_c <= 0 or kappa_c <= 0:
         raise DomainError("beta_c and kappa_c must be positive")
-    ok = _check_realizable(beta_c, kappa_c, strict, "controller loss/coupling mismatch")
     rk = np.sqrt(kappa_c)
-    return CoherentController(
+    return _strict(CoherentController(
         A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)),
         B_c1=np.zeros((2, 0)),
         B_c2=-rk * np.eye(2),
@@ -196,8 +219,7 @@ def squeezer_controller(beta_c, kappa_c, chi_c, strict=False):
         Dt_c2=np.eye(2),
         D_c1=np.zeros((0, 0)),
         D_c2=np.zeros((0, 2)),
-        physically_realizable=ok,
-    )
+    ), strict, "controller")
 
 
 def feedback_squeezer_plant(beta, kappa1, kappa2, chi, L, strict=False):
@@ -208,10 +230,7 @@ def feedback_squeezer_plant(beta, kappa1, kappa2, chi, L, strict=False):
         raise DomainError("beta must be positive")
     if kappa1 < 0 or kappa2 < 0:
         raise DomainError("couplings must be nonnegative")
-    ok = _check_realizable(
-        beta, kappa1 + kappa2, strict, "squeezer loss/coupling-sum mismatch"
-    )
-    return _squeezer_plant(beta, kappa1, chi, L, ok, -np.sqrt(kappa2) * np.eye(2))
+    return _squeezer_plant(beta, kappa1, chi, L, -np.sqrt(kappa2) * np.eye(2), strict)
 
 
 def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False):
@@ -227,10 +246,7 @@ def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False
         raise DomainError("beta_c must be positive")
     if kappa_c1 < 0 or kappa_c2 < 0:
         raise DomainError("couplings must be nonnegative")
-    ok = _check_realizable(
-        beta_c, kappa_c1 + kappa_c2, strict, "controller loss/coupling-sum mismatch"
-    )
-    return CoherentController(
+    return _strict(CoherentController(
         A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)),
         B_c1=-np.sqrt(kappa_c1) * np.eye(2),
         B_c2=-np.sqrt(kappa_c2) * np.eye(2),
@@ -240,8 +256,7 @@ def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False
         Dt_c2=np.zeros((2, 2)),
         D_c1=np.zeros((2, 2)),
         D_c2=np.eye(2),
-        physically_realizable=ok,
-    )
+    ), strict, "controller")
 
 
 def pass_through_controller(plant):

@@ -1,10 +1,12 @@
 """Structured norm-bounded uncertainty.
 
 The uncertain blocks are factored as dA = H1 F1(delta) E, dB = H2 F2(delta) G,
-dC = H3 F1(delta) E with contractions F1, F2 (largest singular value at most
-one over the uncertainty window delta in [-1, 1]).  F1 and F2 are diagonals
-of powers of delta, so each block is a polynomial in delta with coefficient
-stacks ``UncertaintyModel.coefficients()``, evaluated by ``delta_powers``.
+dC = H3 F1(delta) E.  F1 and F2 are diagonals of non-negative whole powers
+of delta, so over the uncertainty window delta in [-1, 1] each is a
+contraction (largest singular value at most one) by construction; a scale
+belongs in H1, H3 or H2.  Each block is a polynomial in delta with
+coefficient stacks ``UncertaintyModel.coefficients()``, evaluated by
+``delta_powers``.
 """
 
 from dataclasses import dataclass
@@ -18,15 +20,10 @@ from .linalg import as_cmatrix
 __all__ = [
     "UncertaintyModel",
     "DeltaTriple",
-    "ContractionReport",
     "squeezer_uncertainty",
     "delta_powers",
     "evaluate_deltas",
-    "contraction_check",
 ]
-
-#: slack allowed on the unit contraction bound
-CONTRACTION_TOL = 1e-12
 
 
 class DeltaTriple(NamedTuple):
@@ -41,9 +38,9 @@ class DeltaTriple(NamedTuple):
 class UncertaintyModel:
     """Factor matrices plus the delta-parameterized contraction maps.
 
-    The contraction blocks F1(delta) and F2(delta) are stored as diagonal
-    exponent patterns (entry k of F1 is f1_scale * delta**f1_exponents[k]),
-    so the contraction bound can be checked exactly.
+    F1(delta) and F2(delta) are stored as diagonal exponent patterns (entry
+    k of F1 is delta**f1_exponents[k]); an exponent that is not a
+    non-negative whole number raises DomainError.
     """
 
     H1: np.ndarray
@@ -53,14 +50,15 @@ class UncertaintyModel:
     G: np.ndarray
     f1_exponents: tuple
     f2_exponents: tuple
-    f1_scale: float = 1.0
-    f2_scale: float = 1.0
 
     def __post_init__(self):
         for name in ("H1", "H2", "H3", "E", "G"):
             object.__setattr__(self, name, as_cmatrix(getattr(self, name)))
-        object.__setattr__(self, "f1_exponents", tuple(self.f1_exponents))
-        object.__setattr__(self, "f2_exponents", tuple(self.f2_exponents))
+        for name in ("f1_exponents", "f2_exponents"):
+            e = tuple(getattr(self, name))
+            if not all(k >= 0 and k % 1 == 0 for k in e):
+                raise DomainError(f"{name} must be non-negative whole numbers, got {e}")
+            object.__setattr__(self, name, e)
         k1, k2 = len(self.f1_exponents), len(self.f2_exponents)
         if not self.H1.shape[1] == self.H3.shape[1] == self.E.shape[0] == k1:
             raise ShapeMismatch("H1, H3 and E must conform with the F1 block")
@@ -73,13 +71,12 @@ class UncertaintyModel:
         delta**powers[p]."""
         powers = tuple(sorted({0, *self.f1_exponents, *self.f2_exponents}))
 
-        def terms(H, exponents, scale, M):
+        def terms(H, exponents, M):
             e = np.array(exponents)
-            return np.stack([scale * H[:, e == p] @ M[e == p] for p in powers])
+            return np.stack([H[:, e == p] @ M[e == p] for p in powers])
 
-        f1 = (self.f1_exponents, self.f1_scale)
-        dA, dC = (terms(H, *f1, self.E) for H in (self.H1, self.H3))
-        return powers, dA, terms(self.H2, self.f2_exponents, self.f2_scale, self.G), dC
+        dA, dC = (terms(H, self.f1_exponents, self.E) for H in (self.H1, self.H3))
+        return powers, dA, terms(self.H2, self.f2_exponents, self.G), dC
 
 
 def squeezer_uncertainty(alpha, mu):
@@ -142,25 +139,3 @@ def evaluate_deltas(u, delta):
     powers, *stacks = u.coefficients()
     x = delta_powers(powers, [delta])[0]
     return DeltaTriple(*(np.einsum("p,pij->ij", x, c) for c in stacks))
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Per-delta largest singular values of the contraction blocks."""
-
-    deltas: tuple
-    f1_norms: tuple
-    f2_norms: tuple
-    passed: bool
-
-
-def contraction_check(u, grid):
-    """Verify the unit contraction bound on F1, F2 over a delta grid.  A
-    diagonal block's largest singular value is its largest entry modulus."""
-    grid = tuple(float(d) for d in grid)
-    f1_norms, f2_norms = (
-        tuple((abs(scale) * np.abs(delta_powers(e, grid)).max(1, initial=0)).tolist())
-        for e, scale in ((u.f1_exponents, u.f1_scale), (u.f2_exponents, u.f2_scale))
-    )
-    passed = all(v <= 1 + CONTRACTION_TOL for v in f1_norms + f2_norms)
-    return ContractionReport(grid, f1_norms, f2_norms, passed)

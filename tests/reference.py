@@ -22,6 +22,10 @@ up to the sign of a zero.
 The structure checks of the doubled-up formalism, which the package builds
 its models in but never tests for itself.
 
+The per-builder realizability rule qre applied before the matrix condition
+A J + J A^dag + B J B^dag = 0: a squeezer's loss equals the sum of its
+couplings.
+
 The resolvent's elimination as qre ran it before it screened the poles once
 per system and swapped rows only where a pivot moves: the pole check on
 every eigenvalue of every block, and the next row and both row swaps built
@@ -427,6 +431,13 @@ def series_lift(u, ctrl):
         H3=ctrl.Dt_c2 @ u.H3,
         E=np.hstack([u.E, np.zeros((u.E.shape[0], k))]),
     )
+
+
+def scalar_realizable(loss, couplings, tol=1e-12):
+    """beta = kappa (series) or beta = kappa1 + kappa2 (feedback), to
+    ``tol`` relative to max(1, |beta|, |sum|), as each builder checked it."""
+    total = sum(couplings)
+    return abs(loss - total) <= tol * max(1.0, abs(loss), abs(total))
 
 
 def deinterleave(m):

@@ -1043,8 +1043,8 @@ class TestSweepFailures:
 def reference_loop(system, u, S, est, delta):
     """The closed loop at one delta from the per-delta factors
     dA = H1 F1 E, dB = H2 F2 G, dC = H3 F1 E."""
-    F1 = u.f1_scale * np.diag([delta**e for e in u.f1_exponents])
-    F2 = u.f2_scale * np.diag([delta**e for e in u.f2_exponents])
+    F1 = np.diag([delta**e for e in u.f1_exponents])
+    F2 = np.diag([delta**e for e in u.f2_exponents])
     dA, dB, dC = u.H1 @ F1 @ u.E, u.H2 @ F2 @ u.G, u.H3 @ F1 @ u.E
     dB = np.hstack([dB, np.zeros((dB.shape[0], system.B.shape[1] - dB.shape[1]))])
     n, k = system.A.shape[0], est.A_K.shape[0]
@@ -1075,7 +1075,7 @@ grid_points = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
 class TestLoopPolynomial:
     """The coefficient form of the closed loop against the per-delta
     formula, over realizable squeezers, both topologies and both channels,
-    and uncertainty models of any exponent pattern and scale."""
+    and uncertainty models of any exponent pattern and factor scale."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -1106,11 +1106,14 @@ class TestLoopPolynomial:
                                         chi_c=chi / 2)
         config.update(mu=mu, homodyne_angles_deg=[theta], strict_pr=True)
         study = build_study(config)
-        pattern = dict(f1_exponents=f1, f2_exponents=f2,
-                       f1_scale=scales[0], f2_scale=scales[1])
+        # F1 and F2 are contractions, so a scale of either goes into the
+        # factors it multiplies: H1 and H3 for F1, H2 for F2
+        u = study.uncertainty
+        pattern = dict(f1_exponents=f1, f2_exponents=f2, H1=scales[0] * u.H1,
+                       H3=scales[0] * u.H3, H2=scales[1] * u.H2)
         # the channels are lifted from the replaced uncertainty
         study = dataclasses.replace(
-            study, uncertainty=dataclasses.replace(study.uncertainty, **pattern)
+            study, uncertainty=dataclasses.replace(u, **pattern)
         )
         name = "coherent" if coherent else "classical"
         system, u = study.channels[name]

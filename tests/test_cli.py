@@ -368,6 +368,19 @@ class TestConfigErrors:
              "delta_grid.points must be a whole number >= 1, got 0"),
             ("bode", "delta_grid", {"min": -1.5},
              "delta=-1.5 outside [-1, 1]"),
+            ("synthesize", None, edited(edited(feedback_benchmark_config(),
+                                               "plant.kappa1", 0), "plant.beta", 2.0),
+             "plant.kappa1 must be positive, got 0.0"),
+            ("synthesize", "plant.beta", float("nan"),
+             "plant.beta must be finite, got nan"),
+            ("bode", "plant.chi", float("nan"), "plant.chi must be finite, got nan"),
+            ("sweep", "controller.beta_c", float("nan"),
+             "controller.beta_c must be finite, got nan"),
+            ("synthesize", "plant.kappa", float("inf"),
+             "plant.kappa must be finite, got inf"),
+            ("synthesize", "plant.L", [0.1, float("nan")],
+             "plant.L must be finite, got [0.1, nan]"),
+            ("bode", "plant.kappa", -4.0, "plant.kappa must be positive, got -4.0"),
         ],
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
              "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
@@ -381,13 +394,17 @@ class TestConfigErrors:
              "feedback-mu-missing", "feedback-kappa_c2-missing", "topology-missing",
              "misspelt-top-level-key", "strict_pr-a-string",
              "delta_design-above-the-window", "delta_design-below-the-window",
-             "bad-grid-on-synthesize", "delta-grid-outside-on-bode"],
+             "bad-grid-on-synthesize", "delta-grid-outside-on-bode",
+             "feedback-kappa1-zero", "beta-nan", "chi-nan", "beta_c-nan",
+             "kappa-infinite", "L-nan", "kappa-negative"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):
         cfg = value if key is None else edited(series_benchmark_config(), key, value)
-        rc = main([command, "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            rc = main([command, "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / f"{command}.csv").exists()

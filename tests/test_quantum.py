@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from reference import is_doubled
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import is_doubled, scalar_realizable
 
 from qre.errors import DomainError, NotPhysicallyRealizable, ShapeMismatch
 from qre.quantum import (
@@ -10,6 +14,7 @@ from qre.quantum import (
     feedback_squeezer_plant,
     homodyne_matrix,
     omega,
+    pass_through_controller,
     squeezer_controller,
     squeezer_plant,
 )
@@ -234,3 +239,78 @@ class TestCoherentControllerShapes:
     def test_rejects_nonconforming_block(self, name, shape):
         with pytest.raises(ShapeMismatch, match=f"^{name} has shape"):
             CoherentController(**controller_blocks(**{name: np.zeros(shape)}))
+
+
+# each builder as (its number of couplings, a call with the loss, the
+# couplings and the squeezing)
+BUILDERS = {
+    "squeezer_plant": (1, lambda b, k, chi, **kw: squeezer_plant(
+        b, *k, chi, [0.1, -0.1], **kw)),
+    "squeezer_controller": (1, lambda b, k, chi, **kw: squeezer_controller(
+        b, *k, chi, **kw)),
+    "feedback_squeezer_plant": (2, lambda b, k, chi, **kw: feedback_squeezer_plant(
+        b, *k, chi, [0.1, -0.1], **kw)),
+    "feedback_squeezer_controller": (2, lambda b, k, chi, **kw:
+                                     feedback_squeezer_controller(b, *k, chi, **kw)),
+}
+coupling = st.floats(1e-3, 50.0)
+# the loss is the sum of the couplings, or off it by at least 1e-6
+# relative: the scalar rule's tolerance and the matrix condition's differ
+# only within 2e-12 of the sum
+mismatch = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-0.9, -1e-6))
+squeezing = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRealizability:
+    """``physically_realizable`` is the matrix condition
+    A J + J A^dag + B J B^dag = 0 on the model's own matrices, which on the
+    squeezer builders is the scalar rule they used to check."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(BUILDERS)),
+           couplings=st.tuples(coupling, st.one_of(st.just(0.0), coupling)),
+           mismatch=mismatch, chi=squeezing)
+    def test_matches_the_scalar_rule(self, name, couplings, mismatch, chi):
+        width, build = BUILDERS[name]
+        k = couplings[:width]
+        beta = sum(k) * (1 + mismatch)
+        want = scalar_realizable(beta, k)
+        assert want == (mismatch == 0)
+        assert build(beta, k, chi).physically_realizable is want
+        if want:
+            assert build(beta, k, chi, strict=True).physically_realizable
+        else:
+            with pytest.raises(NotPhysicallyRealizable,
+                               match="is not physically realizable"):
+                build(beta, k, chi, strict=True)
+
+    def test_pass_through_controller(self):
+        for plant in (squeezer_plant(4.0, 4.0, 0.5, [0.1, -0.1]),
+                      feedback_squeezer_plant(4.0, 2.0, 2.0, -1.0, [0.1, -0.1])):
+            assert pass_through_controller(plant).physically_realizable
+
+    def test_a_perturbed_state_matrix_fails(self):
+        rng = np.random.default_rng(5)
+        plant = feedback_squeezer_plant(4.0, 2.0, 2.0, -1.0, [0.1, -0.1])
+        ctrl = squeezer_controller(4.0, 4.0, -1.0)
+        assert plant.physically_realizable and ctrl.physically_realizable
+        for scale in (1e-3, 1e-8):
+            dA = scale * rng.standard_normal((2, 2))
+            for model in (dataclasses.replace(plant, A=plant.A + dA),
+                          dataclasses.replace(ctrl, A_c=ctrl.A_c + dA)):
+                assert not model.physically_realizable
+
+    def test_an_odd_block_fails_without_raising(self):
+        # three states, or an input block one wide, have no doubled-up form
+        plant = QuantumPlant(A=-np.eye(3), B1=np.eye(3), B2=np.zeros((3, 0)),
+                             C=np.eye(3), D1=np.zeros((3, 3)), L=[[1, 0, 0]])
+        assert plant.physically_realizable is False
+        ctrl = CoherentController(**controller_blocks(
+            B_c1=np.zeros((2, 1)), Dt_c1=np.zeros((2, 1)), D_c1=np.zeros((2, 1))))
+        assert ctrl.physically_realizable is False
+        # with even ports, the all-zero controller meets the condition
+        assert CoherentController(**controller_blocks(
+            A_c=np.zeros((2, 2)))).physically_realizable

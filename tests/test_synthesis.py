@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qre.analysis import StateSpace, hinf_norm
 from qre.augmentation import AugmentedSystem, augment, lift_uncertainty
-from qre import synthesis
+from qre import quantum, synthesis
 from qre.errors import CareFailure, QreError, ScalingTooLarge, ShapeMismatch
 from qre.linalg import CARE_RESIDUAL_TOL, CareSolution, _conj_t, _solve_cares
 from qre.quantum import (
@@ -584,6 +584,23 @@ def realizable_channels(feedback, kappa1, kappa2, chi, chi_c, L, mu):
         plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
         ctrl = squeezer_controller(kappa2, kappa2, chi_c, strict=True)
     return [(plant, u), (augment(plant, ctrl), lift_uncertainty(u, ctrl, plant))]
+
+
+class TestRealizableChannels:
+    """A channel meets the realizability condition under the layout its port
+    sizes declare: the interconnection of realizable models is realizable."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(feedback=st.booleans(), kappa1=positive, kappa2=positive,
+           chis=st.lists(st.one_of(squeezing, st.complex_numbers(
+               max_magnitude=3.0, allow_nan=False, allow_infinity=False)),
+               min_size=2, max_size=2), L=estimand, mu=uncertainty)
+    def test_every_channel_is_realizable(self, feedback, kappa1, kappa2, chis, L, mu):
+        channels = realizable_channels(feedback, kappa1, kappa2, *chis, L, mu)
+        plant = channels[0][0]
+        channels.append((augment(plant, pass_through_controller(plant)), None))
+        for system, _ in channels:
+            assert quantum._realizable(system.A, system.B, system._layout)
 
 
 class TestStackedAssembly:

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from qre.errors import DomainError
-from qre.uncertainty import (
-    contraction_check,
-    evaluate_deltas,
-    squeezer_uncertainty,
-)
+from qre.uncertainty import evaluate_deltas, squeezer_uncertainty
 
 
 def closed_form_deltas(alpha, mu, delta):
@@ -84,19 +80,34 @@ class TestEvaluateDeltas:
             evaluate_deltas(squeezer_uncertainty(2.0, 0.1), float("nan"))
 
 
-class TestContractionCheck:
-    def test_unit_window_passes(self):
-        r = contraction_check(squeezer_uncertainty(2.0, 0.1), [-1.0, 0.0, 1.0])
-        assert r.passed
-        assert max(r.f1_norms) == pytest.approx(1.0)
+class TestExponents:
+    """F1 and F2 are diagonals of delta**e, contractions over the window for
+    every non-negative whole e; any other exponent is refused."""
 
-    def test_scaled_contraction_fails(self):
-        u = squeezer_uncertainty(2.0, 0.1)
-        scaled = dataclasses.replace(u, f1_scale=1.5)
-        r = contraction_check(scaled, [-1.0, 0.0, 1.0])
-        assert not r.passed
+    @pytest.mark.parametrize("f1, f2", [
+        ((1, 1, 2, 2), (0, 3)), ((0, 0, 0, 0), ()), ((1.0, 2.0, 1, 2), (1, 1)),
+    ])
+    def test_whole_exponents_are_contractions(self, f1, f2):
+        rng = np.random.default_rng(3)
+        u = dataclasses.replace(squeezer_uncertainty(2.0, 0.1), f1_exponents=f1,
+                                f2_exponents=f2, H2=rng.standard_normal((2, len(f2))),
+                                G=rng.standard_normal((len(f2), 2)))
+        for d in np.linspace(-1, 1, 41):
+            f = [np.power(d, np.array(e, dtype=float)) for e in (f1, f2)]
+            assert np.abs(np.concatenate(f)).max() <= 1
+            F1, F2 = map(np.diag, f)
+            t = evaluate_deltas(u, d)
+            np.testing.assert_allclose(t.dA, u.H1 @ F1 @ u.E, atol=1e-14)
+            np.testing.assert_allclose(t.dB, u.H2 @ F2 @ u.G, atol=1e-14)
+            np.testing.assert_allclose(t.dC, u.H3 @ F1 @ u.E, atol=1e-14)
 
-    def test_half_delta_norm(self):
-        r = contraction_check(squeezer_uncertainty(2.0, 0.1), [0.5])
-        assert r.f1_norms[0] == pytest.approx(0.5)
-        assert r.f2_norms[0] == pytest.approx(0.5)
+    @pytest.mark.parametrize("f1, f2, bad", [
+        ((1, 1, -1, 2), (1, 1), "f1_exponents"),
+        ((1, 1, 2, 2), (0.5, 1), "f2_exponents"),
+        ((1, 1, 2, np.nan), (1, 1), "f1_exponents"),
+        ((1, 1, 2, 2), (1, np.inf), "f2_exponents"),
+    ])
+    def test_other_exponents_raise(self, f1, f2, bad):
+        with pytest.raises(DomainError, match=f"^{bad} must be non-negative whole"):
+            dataclasses.replace(squeezer_uncertainty(2.0, 0.1), f1_exponents=f1,
+                                f2_exponents=f2)
