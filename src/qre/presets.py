@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import closed_loop_error_system, delta_sweep, loop_polynomial
 from .augmentation import augment, lift_uncertainty
-from .errors import DomainError
+from .errors import DomainError, NotPhysicallyRealizable
 from .quantum import (
     feedback_squeezer_controller,
     feedback_squeezer_plant,
@@ -30,7 +30,7 @@ from .quantum import (
     squeezer_plant,
 )
 from .synthesis import assemble, synthesize
-from .uncertainty import delta_powers, evaluate_deltas, squeezer_uncertainty
+from .uncertainty import evaluate_deltas, squeezer_uncertainty
 
 # bindings of this module that the benchmark's span tracer
 # (benchmarks/spans.py) wraps by name, imported ones included
@@ -220,6 +220,20 @@ def _grid(config, key, defaults):
     return lo, hi, int(n)
 
 
+def _model(key, factory, params, strict_pr):
+    """``factory(**params)``, its range errors named by the config group
+    ``key``; under ``strict_pr`` an unrealizable model raises too."""
+    try:
+        model = factory(**params)
+    except DomainError as exc:
+        raise DomainError(f"{key}.{exc}") from None
+    if strict_pr and not model.physically_realizable:
+        raise NotPhysicallyRealizable(
+            f"{key} is not physically realizable: A J + J A^dag + B J B^dag != 0"
+        )
+    return model
+
+
 # the optional top-level keys; a classical topology does not read the controller
 _DEFAULTS = {"controller": {}, "delta_design": -1.0, "strict_pr": False,
              "frequency_grid": {}, "delta_grid": {}}
@@ -234,10 +248,10 @@ def build_study(config):
     (``classical``, ``coherent_classical``, ``classical_fb`` or
     ``coherent_classical_fb``), plant/controller parameter groups, homodyne
     angles in degrees, the scaling parameters gamma, eps1, eps2, and the
-    optional ``delta_design``, ``strict_pr`` (true rejects physically
-    unrealizable parameters) and grids.  A key that is missing or outside
-    the schema, or a value of the wrong type, shape or range, raises a
-    ValueError or DomainError naming its key.
+    optional ``delta_design``, ``strict_pr`` and grids.  A key that is
+    missing or outside the schema, or a value of the wrong type, shape or
+    range, raises a ValueError or DomainError naming its key.  With
+    ``strict_pr`` true, an unrealizable plant or controller raises too.
     """
     config = _known({**_DEFAULTS, **config}, _KEYS, "config")
     topology = config["topology"]
@@ -269,24 +283,24 @@ def build_study(config):
     if not np.isfinite(frequencies).all():
         raise ValueError(f"frequency_grid.{'max' if hi >= lo else 'min'} "
                          f"{max(lo, hi)} overflows the log-spaced grid")
-    deltas = np.linspace(*_grid(config, "delta_grid", (-1.0, 1.0, 21)))
-    delta_powers((), deltas)  # a delta outside [-1, 1] raises DomainError
+    lo, hi, points = _grid(config, "delta_grid", (-1.0, 1.0, 21))
+    for key, bound in (("min", lo), ("max", hi)):
+        if not abs(bound) <= 1:
+            raise DomainError(f"delta_grid.{key} must lie in [-1, 1], got {bound}")
+    deltas = np.linspace(lo, hi, points)
 
     feedback = topology.endswith("_fb")
     pc = _group(config, "plant", (
         ("beta", "kappa1", "kappa2", "chi", "L") if feedback
         else ("beta", "kappa", "chi", "L")
     ), "plant", matrix="L", finite=True)
-    L = pc.pop("L")
-    if np.atleast_2d(L).shape[1] != 2:
+    if np.atleast_2d(pc["L"]).shape[1] != 2:
         raise ValueError(f"plant.L must have a column per plant state (2), "
                          f"got {config['plant']['L']!r}")
-    coupling = "kappa1" if feedback else "kappa"  # the one the uncertainty scales
-    if not pc[coupling] > 0:
-        raise DomainError(f"plant.{coupling} must be positive, got {pc[coupling]}")
     factory = feedback_squeezer_plant if feedback else squeezer_plant
-    plant = factory(**pc, L=L, strict=strict_pr)
-    u = squeezer_uncertainty(np.sqrt(pc[coupling]), mu)
+    plant = _model("plant", factory, pc, strict_pr)
+    # the uncertainty scales the measured coupling, checked positive
+    u = squeezer_uncertainty(np.sqrt(pc["kappa1" if feedback else "kappa"]), mu)
 
     controller = None
     if topology.startswith("coherent"):
@@ -295,7 +309,7 @@ def build_study(config):
             else ("beta_c", "kappa_c", "chi_c")
         ), "controller", finite=True)
         factory = feedback_squeezer_controller if feedback else squeezer_controller
-        controller = factory(**cc, strict=strict_pr)
+        controller = _model("controller", factory, cc, strict_pr)
 
     study = Study(
         plant=plant,

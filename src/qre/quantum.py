@@ -1,8 +1,9 @@
 """Doubled-up quantum state-space models.
 
-Builders and validators for annihilation/creation doubled-up systems: the
-conjugate-block operator, homodyne measurement matrices, and the
-dynamic-squeezer plant/controller realizations.
+Builders for annihilation/creation doubled-up systems: the conjugate-block
+operator, homodyne measurement matrices, and the dynamic-squeezer
+plant/controller realizations.  The builders check their parameters' signs,
+not realizability, which a model's ``physically_realizable`` reports.
 
 Every plant has a control input B2 and every controller the two inputs and
 two outputs of a coherent-feedback controller.  A port that a topology does
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPhysicallyRealizable, ShapeMismatch
+from .errors import DomainError, ShapeMismatch
 from .linalg import as_cmatrix
 
 __all__ = [
@@ -168,95 +169,79 @@ def _realizable(A, B, layout):
     return bool(np.linalg.norm(R) <= REALIZABILITY_TOL * scale)
 
 
-def _strict(model, strict, what):
-    """``model``, which in strict mode must meet the realizability condition."""
-    if strict and not model.physically_realizable:
-        raise NotPhysicallyRealizable(
-            f"{what} is not physically realizable: A J + J A^dag + B J B^dag != 0"
-        )
-    return model
+def _signs(positive, nonnegative={}):
+    """Raise a DomainError naming the first of ``positive`` (name: value) that
+    is not positive, or else of ``nonnegative`` that is negative or NaN."""
+    for name, v in {**positive, **nonnegative}.items():
+        if not (v > 0 if name in positive else v >= 0):
+            sign = "positive" if name in positive else "nonnegative"
+            raise DomainError(f"{name} must be {sign}, got {v}")
 
 
-def _squeezer_plant(beta, kappa, chi, L, B2, strict):
+def _squeezer_plant(beta, kappa, chi, L, B2):
     """The squeezer of both plant builders, given its control input B2."""
     rk = np.sqrt(kappa)
-    return _strict(QuantumPlant(
+    return QuantumPlant(
         A=omega(-beta / 2 * np.eye(1), -chi * np.eye(1)),
         B1=-rk * np.eye(2), B2=B2, C=rk * np.eye(2), D1=np.eye(2),
         L=np.atleast_2d(np.asarray(L, dtype=complex)),
-    ), strict, "plant")
+    )
 
 
-def squeezer_plant(beta, kappa, chi, L, strict=False):
+def squeezer_plant(beta, kappa, chi, L):
     """Single-input dynamic squeezer: A = omega(-beta/2, -chi),
     B1 = -sqrt(kappa) I, C = sqrt(kappa) I, D1 = I, and no control input
-    (B2 is 2 x 0).
-
-    Physically realizable iff beta equals kappa; in strict mode an
-    unrealizable plant raises, otherwise ``physically_realizable`` says so.
-    """
-    if beta <= 0 or kappa <= 0:
-        raise DomainError("beta and kappa must be positive")
-    return _squeezer_plant(beta, kappa, chi, L, np.zeros((2, 0)), strict)
+    (B2 is 2 x 0); beta and kappa must be positive.  Realizable iff
+    beta = kappa."""
+    _signs({"beta": beta, "kappa": kappa})
+    return _squeezer_plant(beta, kappa, chi, L, np.zeros((2, 0)))
 
 
-def squeezer_controller(beta_c, kappa_c, chi_c, strict=False):
+def feedback_squeezer_plant(beta, kappa1, kappa2, chi, L):
+    """Two-input dynamic squeezer with a control port:
+    B = [-sqrt(kappa1) I, -sqrt(kappa2) I], C = sqrt(kappa1) I,
+    D = [I, 0]; beta and kappa1 must be positive, kappa2 nonnegative.
+    Realizable iff beta = kappa1 + kappa2."""
+    _signs({"beta": beta, "kappa1": kappa1}, {"kappa2": kappa2})
+    return _squeezer_plant(beta, kappa1, chi, L, -np.sqrt(kappa2) * np.eye(2))
+
+
+def _squeezer_controller(beta_c, chi_c, *kappas):
+    """The squeezer of both controller builders, a field per coupling of
+    ``kappas``: inputs B = -[sqrt(k) I ...], outputs C = -B^T and D = I,
+    split into ports.  The plant output drives the last field and the
+    monitored output reads the first; another field is the controller's own
+    input and its control output."""
+    r = [np.sqrt(k) * np.eye(2) for k in kappas]
+    B, C, D = -np.hstack(r), np.vstack(r), np.eye(2 * len(r))
+    m = len(D) - 2  # the width of the own input and of the control output
+    return CoherentController(
+        A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)),
+        B_c1=B[:, :m], B_c2=B[:, m:], Ct_c=C[:2], C_c=C[2:],
+        Dt_c1=D[:2, :m], Dt_c2=D[:2, m:], D_c1=D[2:, :m], D_c2=D[2:, m:],
+    )
+
+
+def squeezer_controller(beta_c, kappa_c, chi_c):
     """Series dynamic-squeezer coherent controller, driven by the plant
     output alone and with a monitored output alone:
     A_c = omega(-beta_c/2, -chi_c), B_c2 = -sqrt(kappa_c) I,
     Ct_c = sqrt(kappa_c) I, Dt_c2 = I; its own field input and its control
-    output have zero width.  Realizable iff beta_c = kappa_c."""
-    if beta_c <= 0 or kappa_c <= 0:
-        raise DomainError("beta_c and kappa_c must be positive")
-    rk = np.sqrt(kappa_c)
-    return _strict(CoherentController(
-        A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)),
-        B_c1=np.zeros((2, 0)),
-        B_c2=-rk * np.eye(2),
-        Ct_c=rk * np.eye(2),
-        C_c=np.zeros((0, 2)),
-        Dt_c1=np.zeros((2, 0)),
-        Dt_c2=np.eye(2),
-        D_c1=np.zeros((0, 0)),
-        D_c2=np.zeros((0, 2)),
-    ), strict, "controller")
+    output have zero width.  beta_c and kappa_c must be positive; realizable
+    iff beta_c = kappa_c."""
+    _signs({"beta_c": beta_c, "kappa_c": kappa_c})
+    return _squeezer_controller(beta_c, chi_c, kappa_c)
 
 
-def feedback_squeezer_plant(beta, kappa1, kappa2, chi, L, strict=False):
-    """Two-input dynamic squeezer with a control port:
-    B = [-sqrt(kappa1) I, -sqrt(kappa2) I], C = sqrt(kappa1) I,
-    D = [I, 0]; realizable iff beta = kappa1 + kappa2."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    if kappa1 < 0 or kappa2 < 0:
-        raise DomainError("couplings must be nonnegative")
-    return _squeezer_plant(beta, kappa1, chi, L, -np.sqrt(kappa2) * np.eye(2), strict)
-
-
-def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c, strict=False):
-    """Dynamic-squeezer controller with a feedback output.
-
-    The monitored output carries the controller's own field plus its vacuum
-    input (Ct_c = sqrt(kappa_c1) I, Dt_c1 = I, Dt_c2 = 0); the feedback
-    output carries the controller field plus the plant output passed
-    through (C_c = sqrt(kappa_c2) I, D_c1 = 0, D_c2 = I).  Realizable iff
-    beta_c = kappa_c1 + kappa_c2.
+def feedback_squeezer_controller(beta_c, kappa_c1, kappa_c2, chi_c):
+    """Dynamic-squeezer controller with a feedback output: the monitored
+    output carries its own field and vacuum input (Ct_c = sqrt(kappa_c1) I,
+    Dt_c1 = I), the feedback output its field and the plant output passed
+    through (C_c = sqrt(kappa_c2) I, D_c2 = I).  beta_c must be positive,
+    the couplings nonnegative.  Realizable iff beta_c = kappa_c1 + kappa_c2.
     """
-    if beta_c <= 0:
-        raise DomainError("beta_c must be positive")
-    if kappa_c1 < 0 or kappa_c2 < 0:
-        raise DomainError("couplings must be nonnegative")
-    return _strict(CoherentController(
-        A_c=omega(-beta_c / 2 * np.eye(1), -chi_c * np.eye(1)),
-        B_c1=-np.sqrt(kappa_c1) * np.eye(2),
-        B_c2=-np.sqrt(kappa_c2) * np.eye(2),
-        Ct_c=np.sqrt(kappa_c1) * np.eye(2),
-        C_c=np.sqrt(kappa_c2) * np.eye(2),
-        Dt_c1=np.eye(2),
-        Dt_c2=np.zeros((2, 2)),
-        D_c1=np.zeros((2, 2)),
-        D_c2=np.eye(2),
-    ), strict, "controller")
+    _signs({"beta_c": beta_c}, {"kappa_c1": kappa_c1, "kappa_c2": kappa_c2})
+    return _squeezer_controller(beta_c, chi_c, kappa_c1, kappa_c2)
 
 
 def pass_through_controller(plant):

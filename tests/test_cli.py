@@ -145,6 +145,26 @@ class TestSynthesizeCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("feedback", [False, True], ids=["series", "feedback"])
+    @pytest.mark.parametrize("group", ["plant", "controller"])
+    def test_strict_pr_names_the_unrealizable_model(self, tmp_path, capsys,
+                                                     feedback, group):
+        # the loss off the sum of the couplings: built without --strict-pr,
+        # rejected with it
+        cfg = feedback_benchmark_config() if feedback else series_benchmark_config()
+        cfg[group]["beta_c" if group == "controller" else "beta"] = 5.0
+        path = write_config(tmp_path, cfg)
+        assert main(["synthesize", "--config", path, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["synthesize", "--config", path, "--out", str(tmp_path / "strict"),
+                   "--strict-pr"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: {group} is not physically realizable: "
+            "A J + J A^dag + B J B^dag != 0\n"
+        )
+        assert not (tmp_path / "strict" / "estimator.json").exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -208,7 +228,7 @@ class TestSweepCommand:
                    "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "config error: delta=-1.5 outside [-1, 1]\n"
+        assert err == "config error: delta_grid.min must lie in [-1, 1], got -1.5\n"
 
     def test_deterministic_output(self, tmp_path):
         cfg = series_benchmark_config()
@@ -367,7 +387,15 @@ class TestConfigErrors:
             ("synthesize", "delta_grid", {"points": 0},
              "delta_grid.points must be a whole number >= 1, got 0"),
             ("bode", "delta_grid", {"min": -1.5},
-             "delta=-1.5 outside [-1, 1]"),
+             "delta_grid.min must lie in [-1, 1], got -1.5"),
+            ("sweep", "delta_grid", {"min": -2.0, "max": 1.0, "points": 3},
+             "delta_grid.min must lie in [-1, 1], got -2.0"),
+            ("synthesize", "delta_grid", {"max": 1.5},
+             "delta_grid.max must lie in [-1, 1], got 1.5"),
+            ("sweep", "delta_grid", {"min": float("nan")},
+             "delta_grid.min must lie in [-1, 1], got nan"),
+            ("bode", "delta_grid", {"max": float("nan")},
+             "delta_grid.max must lie in [-1, 1], got nan"),
             ("synthesize", None, edited(edited(feedback_benchmark_config(),
                                                "plant.kappa1", 0), "plant.beta", 2.0),
              "plant.kappa1 must be positive, got 0.0"),
@@ -381,6 +409,20 @@ class TestConfigErrors:
             ("synthesize", "plant.L", [0.1, float("nan")],
              "plant.L must be finite, got [0.1, nan]"),
             ("bode", "plant.kappa", -4.0, "plant.kappa must be positive, got -4.0"),
+            ("synthesize", "plant.beta", 0, "plant.beta must be positive, got 0.0"),
+            ("synthesize", None, edited(feedback_benchmark_config(), "plant.beta", 0),
+             "plant.beta must be positive, got 0.0"),
+            ("bode", None, edited(feedback_benchmark_config(), "plant.kappa2", -1),
+             "plant.kappa2 must be nonnegative, got -1.0"),
+            ("sweep", "controller.kappa_c", -1,
+             "controller.kappa_c must be positive, got -1.0"),
+            ("sweep", None,
+             edited(feedback_benchmark_config(), "controller.kappa_c1", -1),
+             "controller.kappa_c1 must be nonnegative, got -1.0"),
+            ("synthesize", "controller.beta_c", -1,
+             "controller.beta_c must be positive, got -1.0"),
+            ("bode", None, edited(feedback_benchmark_config(), "controller.beta_c", -1),
+             "controller.beta_c must be positive, got -1.0"),
         ],
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
              "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
@@ -395,8 +437,13 @@ class TestConfigErrors:
              "misspelt-top-level-key", "strict_pr-a-string",
              "delta_design-above-the-window", "delta_design-below-the-window",
              "bad-grid-on-synthesize", "delta-grid-outside-on-bode",
+             "delta-grid-min-outside", "delta-grid-max-outside", "delta-grid-min-nan",
+             "delta-grid-max-nan",
              "feedback-kappa1-zero", "beta-nan", "chi-nan", "beta_c-nan",
-             "kappa-infinite", "L-nan", "kappa-negative"],
+             "kappa-infinite", "L-nan", "kappa-negative", "beta-zero",
+             "feedback-beta-zero", "feedback-kappa2-negative", "kappa_c-negative",
+             "feedback-kappa_c1-negative", "beta_c-negative",
+             "feedback-beta_c-negative"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):

@@ -284,13 +284,13 @@ class TestAgainstSchurReference:
                                        L, mu, theta, scaling):
         u = squeezer_uncertainty(np.sqrt(kappa1), mu)
         if feedback:
-            plant = feedback_squeezer_plant(
-                kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
-            )
+            plant = feedback_squeezer_plant(kappa1 + kappa2, kappa1, kappa2, chi, L)
+            assert plant.physically_realizable
             channels = [(plant, u)]
         else:
-            plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
-            ctrl = squeezer_controller(kappa2, kappa2, chi / 2, strict=True)
+            plant = squeezer_plant(kappa1, kappa1, chi, L)
+            ctrl = squeezer_controller(kappa2, kappa2, chi / 2)
+            assert plant.physically_realizable and ctrl.physically_realizable
             channels = [(plant, u),
                         (augment(plant, ctrl), lift_uncertainty(u, ctrl, plant))]
         S = homodyne_matrix([np.deg2rad(theta)])

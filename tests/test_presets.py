@@ -86,12 +86,13 @@ class TestBuildStudy:
                 build_study(cfg)
 
     def test_strict_pr_is_read_from_the_config(self):
-        cfg = series_benchmark_config()
-        cfg["plant"]["beta"] = 5.0  # beta != kappa
-        assert not build_study(cfg).plant.physically_realizable
-        cfg["strict_pr"] = True
-        with pytest.raises(NotPhysicallyRealizable):
-            build_study(cfg)
+        for group, loss in (("plant", "beta"), ("controller", "beta_c")):
+            cfg = series_benchmark_config()
+            cfg[group][loss] = 5.0  # the loss != the coupling
+            assert not getattr(build_study(cfg), group).physically_realizable
+            cfg["strict_pr"] = True
+            with pytest.raises(NotPhysicallyRealizable, match=f"^{group} is not"):
+                build_study(cfg)
 
 
 class TestStudyChannels:

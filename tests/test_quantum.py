@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from reference import is_doubled, scalar_realizable
 
 from qre.errors import DomainError, NotPhysicallyRealizable, ShapeMismatch
+from qre.presets import build_study, feedback_benchmark_config, series_benchmark_config
 from qre.quantum import (
     CoherentController,
     QuantumPlant,
@@ -18,6 +20,17 @@ from qre.quantum import (
     squeezer_controller,
     squeezer_plant,
 )
+
+
+def assert_strict_rejects(feedback, group, **params):
+    """build_study under strict_pr, the one place that rejects an
+    unrealizable model, raises on a benchmark config with ``params`` in its
+    ``group``, naming the group and the condition it fails."""
+    cfg = feedback_benchmark_config() if feedback else series_benchmark_config()
+    cfg[group].update(params)
+    message = f"{group} is not physically realizable: A J + J A^dag + B J B^dag != 0"
+    with pytest.raises(NotPhysicallyRealizable, match=f"^{re.escape(message)}$"):
+        build_study({**cfg, "strict_pr": True})
 
 
 class TestOmega:
@@ -117,9 +130,9 @@ class TestSqueezerPlant:
         np.testing.assert_array_equal(p.C @ p.B1, -4 * np.eye(2))
 
     def test_strict_realizability(self):
-        with pytest.raises(NotPhysicallyRealizable):
-            squeezer_plant(4.0, 2.0, 0.5, [0.1, -0.1], strict=True)
+        # the builder builds it; build_study's strict_pr rejects it
         assert not squeezer_plant(4.0, 2.0, 0.5, [0.1, -0.1]).physically_realizable
+        assert_strict_rejects(False, "plant", beta=4.0, kappa=2.0)
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 1)])
     def test_rejects_feedthrough_not_conforming(self, shape):
@@ -150,8 +163,8 @@ class TestSqueezerController:
         assert c.D_c1.shape == (0, 0)
 
     def test_strict_realizability(self):
-        with pytest.raises(NotPhysicallyRealizable):
-            squeezer_controller(4.0, 2.0, -1.0, strict=True)
+        assert not squeezer_controller(4.0, 2.0, -1.0).physically_realizable
+        assert_strict_rejects(False, "controller", beta_c=4.0, kappa_c=2.0)
 
     def test_complex_nonlinearity_conjugation(self):
         chi = 0.5 + 0.5j
@@ -174,8 +187,9 @@ class TestFeedbackSqueezerPlant:
         assert p.physically_realizable
 
     def test_strict_realizability(self):
-        with pytest.raises(NotPhysicallyRealizable):
-            feedback_squeezer_plant(4.0, 3.0, 2.0, -1.0, [0.1, -0.1], strict=True)
+        p = feedback_squeezer_plant(4.0, 3.0, 2.0, -1.0, [0.1, -0.1])
+        assert not p.physically_realizable
+        assert_strict_rejects(True, "plant", beta=4.0, kappa1=3.0, kappa2=2.0)
 
     def test_degenerate_single_input_limit(self):
         p = feedback_squeezer_plant(2.0, 2.0, 0.0, 0.0, [1.0, 0.0])
@@ -199,12 +213,60 @@ class TestFeedbackSqueezerController:
         assert c.B_c1.shape == c.C_c.shape == (2, 2)
 
     def test_strict_realizability(self):
-        with pytest.raises(NotPhysicallyRealizable):
-            feedback_squeezer_controller(4.0, 1.0, 2.0, 0.5, strict=True)
+        assert not feedback_squeezer_controller(4.0, 1.0, 2.0, 0.5).physically_realizable
+        assert_strict_rejects(True, "controller", beta_c=4.0, kappa_c1=1.0, kappa_c2=2.0)
 
     def test_zero_nonlinearity(self):
         c = feedback_squeezer_controller(2.0, 1.0, 1.0, 0.0)
         np.testing.assert_array_equal(c.A_c, -np.eye(2))
+
+
+# each builder with realizable arguments, and which of them must be
+# positive; its other couplings may be 0
+RANGES = [
+    (squeezer_plant, dict(beta=4.0, kappa=4.0, chi=0.5, L=[0.1, -0.1]),
+     ("beta", "kappa")),
+    (feedback_squeezer_plant,
+     dict(beta=4.0, kappa1=2.0, kappa2=2.0, chi=-1.0, L=[0.1, -0.1]),
+     ("beta", "kappa1")),
+    (squeezer_controller, dict(beta_c=4.0, kappa_c=4.0, chi_c=-1.0),
+     ("beta_c", "kappa_c")),
+    (feedback_squeezer_controller,
+     dict(beta_c=4.0, kappa_c1=2.0, kappa_c2=2.0, chi_c=0.5), ("beta_c",)),
+]
+
+
+def range_cases(must_be_positive):
+    """(builder, arguments, name) for each argument of RANGES that must be
+    positive, or else for each coupling that may be 0."""
+    return [pytest.param(build, args, name, id=f"{build.__name__}-{name}")
+            for build, args, positive in RANGES for name in args
+            if (name in positive if must_be_positive
+                else name.startswith("kappa") and name not in positive)]
+
+
+class TestRanges:
+    """Each builder's range check names the argument at fault and its value."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("build, args, name", range_cases(True))
+    def test_a_parameter_that_is_not_positive_raises(self, build, args, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be positive, got {value}$"):
+            build(**{**args, name: value})
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan])
+    @pytest.mark.parametrize("build, args, name", range_cases(False))
+    def test_a_negative_coupling_raises(self, build, args, name, value):
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be nonnegative, got {value}$"):
+            build(**{**args, name: value})
+
+    @pytest.mark.parametrize("build, args, name", range_cases(False))
+    def test_a_zero_coupling_builds(self, build, args, name):
+        # and with the loss at the sum of the couplings it is realizable
+        loss = "beta_c" if "beta_c" in args else "beta"
+        args = {**args, name: 0.0, loss: args[loss] - args[name]}
+        assert build(**args).physically_realizable
 
 
 def controller_blocks(**overrides):
@@ -280,12 +342,6 @@ class TestRealizability:
         want = scalar_realizable(beta, k)
         assert want == (mismatch == 0)
         assert build(beta, k, chi).physically_realizable is want
-        if want:
-            assert build(beta, k, chi, strict=True).physically_realizable
-        else:
-            with pytest.raises(NotPhysicallyRealizable,
-                               match="is not physically realizable"):
-                build(beta, k, chi, strict=True)
 
     def test_pass_through_controller(self):
         for plant in (squeezer_plant(4.0, 4.0, 0.5, [0.1, -0.1]),

@@ -7,10 +7,16 @@ from unittest import mock
 import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qre.analysis import StateSpace, hinf_norm
+from qre.analysis import (
+    StateSpace,
+    frequency_response,
+    grid_peak_gain,
+    hinf_norm,
+    loop_polynomial,
+)
 from qre.augmentation import AugmentedSystem, augment, lift_uncertainty
 from qre import quantum, synthesis
 from qre.errors import CareFailure, QreError, ScalingTooLarge, ShapeMismatch
@@ -343,7 +349,8 @@ class TestClassicalIsDegenerateCoherent:
     @given(kappa=positive, chi=squeezing, L=estimand, mu=uncertainty,
            theta=angle, scaling=scaling)
     def test_series(self, kappa, chi, L, mu, theta, scaling):
-        plant = squeezer_plant(kappa, kappa, chi, L, strict=True)
+        plant = squeezer_plant(kappa, kappa, chi, L)
+        assert plant.physically_realizable
         u = squeezer_uncertainty(np.sqrt(kappa), mu)
         S = homodyne_matrix([np.deg2rad(theta)])
         ctrl = pass_through_controller(plant)
@@ -358,9 +365,8 @@ class TestClassicalIsDegenerateCoherent:
     @given(kappa1=positive, kappa2=positive, chi=squeezing, L=estimand,
            mu=uncertainty, theta=angle, scaling=scaling)
     def test_feedback(self, kappa1, kappa2, chi, L, mu, theta, scaling):
-        plant = feedback_squeezer_plant(
-            kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
-        )
+        plant = feedback_squeezer_plant(kappa1 + kappa2, kappa1, kappa2, chi, L)
+        assert plant.physically_realizable
         u = squeezer_uncertainty(np.sqrt(kappa1), mu)
         S = homodyne_matrix([np.deg2rad(theta)])
         ctrl = pass_through_controller(plant)
@@ -386,8 +392,9 @@ class TestSeriesIsZeroPortFeedback:
            L=estimand, mu=uncertainty, theta=angle, scaling=scaling)
     def test_realizable_squeezers(self, kappa, kappa_c, chi, chi_c, L, mu,
                                   theta, scaling):
-        plant = squeezer_plant(kappa, kappa, chi, L, strict=True)
-        ctrl = squeezer_controller(kappa_c, kappa_c, chi_c, strict=True)
+        plant = squeezer_plant(kappa, kappa, chi, L)
+        ctrl = squeezer_controller(kappa_c, kappa_c, chi_c)
+        assert plant.physically_realizable and ctrl.physically_realizable
         u = squeezer_uncertainty(np.sqrt(kappa), mu)
         S = homodyne_matrix([np.deg2rad(theta)])
         got = augment(plant, ctrl), lift_uncertainty(u, ctrl, plant)
@@ -512,16 +519,16 @@ class TestStackedSynthesis:
         stacks = [[], []]
         for chi, gamma in zip(chis, gammas):
             if feedback:
-                plant = feedback_squeezer_plant(
-                    kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
-                )
+                plant = feedback_squeezer_plant(kappa1 + kappa2, kappa1, kappa2, chi, L)
+                assert plant.physically_realizable
                 ctrl = pass_through_controller(plant)
                 channels = [(plant, u),
                             (augment(plant, ctrl),
                              lift_uncertainty(u, ctrl, plant))]
             else:
-                plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
-                ctrl = squeezer_controller(kappa2, kappa2, chi / 2, strict=True)
+                plant = squeezer_plant(kappa1, kappa1, chi, L)
+                ctrl = squeezer_controller(kappa2, kappa2, chi / 2)
+                assert plant.physically_realizable and ctrl.physically_realizable
                 channels = [(plant, u),
                             (augment(plant, ctrl),
                              lift_uncertainty(u, ctrl, plant))]
@@ -574,15 +581,12 @@ def realizable_channels(feedback, kappa1, kappa2, chi, chi_c, L, mu):
     series or the feedback topology, as (measured system, uncertainty)."""
     u = squeezer_uncertainty(np.sqrt(kappa1), mu)
     if feedback:
-        plant = feedback_squeezer_plant(
-            kappa1 + kappa2, kappa1, kappa2, chi, L, strict=True
-        )
-        ctrl = feedback_squeezer_controller(
-            kappa1 + kappa2, kappa1, kappa2, chi_c, strict=True
-        )
+        plant = feedback_squeezer_plant(kappa1 + kappa2, kappa1, kappa2, chi, L)
+        ctrl = feedback_squeezer_controller(kappa1 + kappa2, kappa1, kappa2, chi_c)
     else:
-        plant = squeezer_plant(kappa1, kappa1, chi, L, strict=True)
-        ctrl = squeezer_controller(kappa2, kappa2, chi_c, strict=True)
+        plant = squeezer_plant(kappa1, kappa1, chi, L)
+        ctrl = squeezer_controller(kappa2, kappa2, chi_c)
+    assert plant.physically_realizable and ctrl.physically_realizable
     return [(plant, u), (augment(plant, ctrl), lift_uncertainty(u, ctrl, plant))]
 
 
@@ -601,6 +605,61 @@ class TestRealizableChannels:
         channels.append((augment(plant, pass_through_controller(plant)), None))
         for system, _ in channels:
             assert quantum._realizable(system.A, system.B, system._layout)
+
+
+def check_theorem_filters(feedback, kappa1, kappa2, chi, chi_c, L, mu, theta):
+    """Check every theorem-convention filter of the realizable channels that
+    synthesizes at gamma = 0.65 on a 3 x 3 eps grid (eps1 and eps2 in 0.1,
+    0.316, 1, points of eps_grid_search's default grid): its Riccati
+    residuals, and at delta in {-1, 0, 1} its loop's hinf_norm against the
+    dense grid and against the gain at the peak frequency it returns.
+    Returns the number of filters checked."""
+    S = homodyne_matrix([np.deg2rad(theta)])
+    grid = row_major(np.logspace(-1, 0, 3), np.logspace(-1, 0, 3))
+    checked = 0
+    for system, u in realizable_channels(feedback, kappa1, kappa2, chi, chi_c, L, mu):
+        problems = assemble(system, u, S, 0.65, *grid)
+        for est in synthesis._synthesize(problems, gain_convention="theorem"):
+            if isinstance(est, QreError):
+                continue
+            checked += 1
+            assert est.residual_x <= 1e-8 and est.residual_y <= 1e-8
+            A, B, C, D, L_ = (getattr(system, m) for m in "ABCDL")
+            loop = loop_polynomial(A, B, C, D, L_, S, est, u.coefficients())
+            for delta in (-1.0, 0.0, 1.0):
+                ss = loop.at(delta)
+                norm, w = hinf_norm(ss, allow_unstable=True, return_frequency=True)
+                # the level set misses no peak of the dense grid
+                assert norm >= grid_peak_gain(ss) * (1 - 1e-6)
+                # and the gain at its peak frequency is the norm
+                gain = np.linalg.norm(frequency_response(ss, [w])[0], 2)
+                assert gain == pytest.approx(norm, rel=1e-5)
+    return checked
+
+
+class TestTheoremFilters:
+    """On realizable squeezers, every theorem-convention filter solves its
+    Riccati equations and its loops' H-infinity norms are certified."""
+
+    @pytest.mark.parametrize("feedback", [False, True], ids=["series", "feedback"])
+    def test_the_benchmarks_are_checked(self, feedback):
+        # the examples below are the benchmarks, so the property never
+        # passes on no filter at all
+        args = (2.0, 2.0, -1.0, 0.5, [0.1, -0.1], 0.1, 80.0) if feedback else (
+            4.0, 4.0, 0.5, -1.0, [0.1, -0.1], 0.1, 10.0)
+        assert check_theorem_filters(feedback, *args) >= 4
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(feedback=st.booleans(), kappa1=positive, kappa2=positive,
+           chis=st.lists(squeezing, min_size=2, max_size=2), L=estimand,
+           mu=uncertainty, theta=angle)
+    @example(feedback=False, kappa1=4.0, kappa2=4.0, chis=[0.5, -1.0],
+             L=[0.1, -0.1], mu=0.1, theta=10.0)
+    @example(feedback=True, kappa1=2.0, kappa2=2.0, chis=[-1.0, 0.5],
+             L=[0.1, -0.1], mu=0.1, theta=80.0)
+    def test_realizable_squeezers(self, feedback, kappa1, kappa2, chis, L, mu,
+                                  theta):
+        check_theorem_filters(feedback, kappa1, kappa2, *chis, L, mu, theta)
 
 
 class TestStackedAssembly:
