@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .analysis import (
     StateSpace,
     SweepResult,
-    closed_loop_error_system,
     delta_sweep,
     frequency_response,
     grid_peak_gain,
@@ -54,9 +53,7 @@ from .synthesis import (
     synthesize,
 )
 from .uncertainty import (
-    DeltaTriple,
     UncertaintyModel,
-    evaluate_deltas,
     squeezer_uncertainty,
 )
 
@@ -75,9 +72,7 @@ __all__ = [
     "feedback_squeezer_plant",
     "feedback_squeezer_controller",
     "UncertaintyModel",
-    "DeltaTriple",
     "squeezer_uncertainty",
-    "evaluate_deltas",
     "AugmentedSystem",
     "augment",
     "lift_uncertainty",
@@ -88,7 +83,6 @@ __all__ = [
     "eps_grid_search",
     "StateSpace",
     "SweepResult",
-    "closed_loop_error_system",
     "frequency_response",
     "hinf_norm",
     "grid_peak_gain",

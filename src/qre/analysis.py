@@ -2,8 +2,8 @@
 H-infinity norms and uncertainty sweeps.
 
 A filter's closed loop is a polynomial in delta (``LoopPolynomial``), built
-once per channel by ``loop_polynomial``; ``closed_loop_error_system`` is its
-one-delta case.
+once per channel by ``loop_polynomial``; ``LoopPolynomial.at`` is its value
+at one delta.
 
 The peak gain is computed by the level-set iteration on the bounded-real
 Hamiltonian: its imaginary-axis eigenvalues at a candidate level are the
@@ -51,7 +51,6 @@ __all__ = [
     "SweepResult",
     "LoopPolynomial",
     "loop_polynomial",
-    "closed_loop_error_system",
     "frequency_response",
     "hinf_norm",
     "grid_peak_gain",
@@ -150,9 +149,10 @@ def loop_polynomial(A, B, C, D, L, S, est, perturbation):
     return LoopPolynomial(tuple(powers), Acl, Bcl[..., : S.shape[0]], Ccl)
 
 
+# kept for the benchmark's span tracer (benchmarks/spans.py), which wraps it
 def closed_loop_error_system(A, B, C, D, L, S, est, deltas=None):
     """The loop_polynomial error system at one perturbation ``deltas``, a
-    DeltaTriple (by default none), as a StateSpace."""
+    (dA, dB, dC) tuple (by default none), as a StateSpace."""
     if deltas is None:
         deltas = (np.zeros(np.shape(A)), np.zeros((len(A), 0)), np.zeros(np.shape(C)))
     dA, dB, dC = (np.asarray(m)[None] for m in deltas)

@@ -142,12 +142,23 @@ def cmd_sweep(study, config, outdir, command="sweep", rel_tol=1e-6):
     return norms
 
 
-def cmd_reproduce(preset, outdir):
+def _outdir(out):
+    """The --out directory, created with its parents once the study is
+    built, so that a command that fails before that leaves none behind."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create --out {out}: {exc.strerror}") from exc
+    return Path(out)
+
+
+def cmd_reproduce(preset, out):
     which, kind = PRESETS[preset]
     config = (
         series_benchmark_config() if which == "series" else feedback_benchmark_config()
     )
     study = build_study(config)
+    outdir = _outdir(out)
     delta = study.delta_design
     if kind == "bode":
         cmd_bode(study, config, outdir, f"reproduce:{preset}")
@@ -216,20 +227,16 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        outdir = Path(args.out)
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"cannot create --out {args.out}: {exc.strerror}") from exc
         if args.command == "reproduce":
             if args.preset not in PRESETS:
                 print(f"unknown preset {args.preset!r}", file=sys.stderr)
                 return EXIT_CONFIG
-            return cmd_reproduce(args.preset, outdir)
+            return cmd_reproduce(args.preset, args.out)
         config = _load_config(args.config)
         if args.strict_pr:
             config["strict_pr"] = True
         study = build_study(config)
+        outdir = _outdir(args.out)
         if args.command == "synthesize":
             cmd_synthesize(study, config, outdir)
         elif args.command == "bode":

@@ -10,7 +10,6 @@ coefficient stacks ``UncertaintyModel.coefficients()``, evaluated by
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,19 +18,9 @@ from .linalg import as_cmatrix
 
 __all__ = [
     "UncertaintyModel",
-    "DeltaTriple",
     "squeezer_uncertainty",
     "delta_powers",
-    "evaluate_deltas",
 ]
-
-
-class DeltaTriple(NamedTuple):
-    """Perturbations of the state, input and output maps at one delta."""
-
-    dA: np.ndarray
-    dB: np.ndarray
-    dC: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,9 +122,9 @@ def delta_powers(powers, deltas):
     return deltas[:, None] ** np.array(powers)
 
 
+# kept for the benchmark's span tracer (benchmarks/spans.py), which wraps it
 def evaluate_deltas(u, delta):
-    """Perturbation triple dA = H1 F1 E, dB = H2 F2 G, dC = H3 F1 E at one
-    delta: the one-delta case of ``u.coefficients()``."""
+    """(dA, dB, dC) = (H1 F1 E, H2 F2 G, H3 F1 E) at one delta."""
     powers, *stacks = u.coefficients()
     x = delta_powers(powers, [delta])[0]
-    return DeltaTriple(*(np.einsum("p,pij->ij", x, c) for c in stacks))
+    return tuple(np.einsum("p,pij->ij", x, c) for c in stacks)

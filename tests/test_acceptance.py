@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from reference import is_doubled
+from test_uncertainty import perturbations
 
 from qre import grid_peak_gain, hinf_norm
 from qre.augmentation import augment, lift_uncertainty
@@ -16,7 +17,6 @@ from qre.synthesis import (
     riccati_residual_x,
     riccati_residual_y,
 )
-from qre.uncertainty import evaluate_deltas
 
 # Reference estimator matrices for the two benchmark parameter sets
 # (frozen regression targets, four significant decimals for the classical
@@ -197,28 +197,29 @@ def test_criterion_9_structural_suite(series_study, feedback_study):
     # uncertainty factorization identity against closed forms
     u = series_study.uncertainty
     alpha, mu = 2.0, 0.1
-    for d in np.linspace(-1, 1, 41):
-        t = evaluate_deltas(u, d)
+    grid = np.linspace(-1, 1, 41)
+    for d, dA, dB, dC in zip(grid, *perturbations(u, grid)):
         da = (-(alpha**2) * mu * d - alpha**2 * mu**2 * d**2 / 2) * np.eye(2)
-        assert np.abs(t.dA - da).max() <= 1e-13
-        assert np.abs(t.dB - (-mu * d * alpha) * np.eye(2)).max() <= 1e-13
-        assert np.abs(t.dC - (mu * d * alpha) * np.eye(2)).max() <= 1e-13
+        assert np.abs(dA - da).max() <= 1e-13
+        assert np.abs(dB - (-mu * d * alpha) * np.eye(2)).max() <= 1e-13
+        assert np.abs(dC - (mu * d * alpha) * np.eye(2)).max() <= 1e-13
     # lifted-uncertainty consistency, both topologies: one formula, the
     # series plant's control input B2 having no columns
+    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
     for study in (series_study, feedback_study):
         ctrl, B2 = study.controller, study.plant.B2
-        for d in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            t = evaluate_deltas(study.uncertainty, d)
-            ta = evaluate_deltas(study.lifted, d)
+        lifted = study.channels["coherent"][1]
+        for dA, dB, dC, dAa, dBa, _ in zip(*perturbations(study.uncertainty, grid),
+                                           *perturbations(lifted, grid)):
             da = np.block(
                 [
-                    [t.dA + B2 @ ctrl.D_c2 @ t.dC, np.zeros((2, 2))],
-                    [ctrl.B_c2 @ t.dC, np.zeros((2, 2))],
+                    [dA + B2 @ ctrl.D_c2 @ dC, np.zeros((2, 2))],
+                    [ctrl.B_c2 @ dC, np.zeros((2, 2))],
                 ]
             )
-            db = np.vstack([t.dB, np.zeros((2, 2))])
-            assert np.abs(ta.dA - da).max() <= 1e-12
-            assert np.abs(ta.dB - db).max() <= 1e-12
+            db = np.vstack([dB, np.zeros((2, 2))])
+            assert np.abs(dAa - da).max() <= 1e-12
+            assert np.abs(dBa - db).max() <= 1e-12
     # block identity: augmented scaled matrices from plant-level ones
     plant, ctrl, u, S = (
         series_study.plant,

@@ -16,7 +16,6 @@ from qre.analysis import (
     LoopPolynomial,
     StateSpace,
     SweepResult,
-    closed_loop_error_system,
     delta_sweep,
     frequency_response,
     grid_peak_gain,
@@ -162,16 +161,15 @@ class TestStateSpace:
 
 class TestClosedLoopErrorSystem:
     def test_zero_output_maps_give_zero_system(self, series_study):
-        import dataclasses
-
         p = series_study.plant
         est = dataclasses.replace(
             series_study.estimator("classical"),
             C_K=np.zeros((1, 2)),
         )
-        loop = closed_loop_error_system(
-            p.A, p.B, p.C, p.D, np.zeros((1, 2)), series_study.S, est
-        )
+        loop = loop_polynomial(
+            p.A, p.B, p.C, p.D, np.zeros((1, 2)), series_study.S, est,
+            series_study.uncertainty.coefficients(),
+        ).at(0.0)
         g = frequency_response(loop, [0.0, 1.0])
         assert all(np.allclose(m, 0) for m in g)
 
@@ -216,7 +214,7 @@ class TestFrequencyResponse:
         # with fully doubled input/output maps the gain is symmetric in
         # frequency; selecting a single column breaks this, which is why
         # norms are evaluated over both signs
-        a = series_study.augmented
+        a = series_study.channels["coherent"][0]
         ss = StateSpace(a.A, a.B, a.C, a.D)
         for w in (0.1, 1.0, 3.7, 20.0):
             gp, gm = frequency_response(ss, [w, -w])

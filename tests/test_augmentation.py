@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from reference import deinterleave, is_doubled
+from test_uncertainty import perturbations
 
 from qre.augmentation import augment, lift_uncertainty
 from qre.errors import WrongTopology
@@ -11,7 +12,7 @@ from qre.quantum import (
     squeezer_controller,
     squeezer_plant,
 )
-from qre.uncertainty import evaluate_deltas, squeezer_uncertainty
+from qre.uncertainty import squeezer_uncertainty
 
 
 @pytest.fixture
@@ -153,45 +154,45 @@ class TestLiftUncertainty:
     def test_series_consistency_identity(self, series_parts):
         plant, ctrl, u = series_parts
         au = lift_uncertainty(u, ctrl, plant)
-        for d in np.linspace(-1, 1, 11):
-            t = evaluate_deltas(u, d)
-            ta = evaluate_deltas(au, d)
+        grid = np.linspace(-1, 1, 11)
+        for dA, dB, dC, dAa, dBa, dCa in zip(*perturbations(u, grid),
+                                              *perturbations(au, grid)):
             expected_dA = np.block(
                 [
-                    [t.dA, np.zeros((2, 2))],
-                    [ctrl.B_c2 @ t.dC, np.zeros((2, 2))],
+                    [dA, np.zeros((2, 2))],
+                    [ctrl.B_c2 @ dC, np.zeros((2, 2))],
                 ]
             )
-            np.testing.assert_allclose(ta.dA, expected_dA, atol=1e-12)
+            np.testing.assert_allclose(dAa, expected_dA, atol=1e-12)
             np.testing.assert_allclose(
-                ta.dB, np.vstack([t.dB, np.zeros((2, 2))]), atol=1e-12
+                dBa, np.vstack([dB, np.zeros((2, 2))]), atol=1e-12
             )
             np.testing.assert_allclose(
-                ta.dC,
-                np.hstack([ctrl.Dt_c2 @ t.dC, np.zeros((2, 2))]),
+                dCa,
+                np.hstack([ctrl.Dt_c2 @ dC, np.zeros((2, 2))]),
                 atol=1e-12,
             )
 
     def test_feedback_consistency_identity(self, feedback_parts):
         plant, ctrl, u = feedback_parts
         au = lift_uncertainty(u, ctrl, plant)
-        for d in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            t = evaluate_deltas(u, d)
-            ta = evaluate_deltas(au, d)
+        grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        for dA, dB, dC, dAa, dBa, dCa in zip(*perturbations(u, grid),
+                                              *perturbations(au, grid)):
             expected_dA = np.block(
                 [
-                    [t.dA + plant.B2 @ ctrl.D_c2 @ t.dC, np.zeros((2, 2))],
-                    [ctrl.B_c2 @ t.dC, np.zeros((2, 2))],
+                    [dA + plant.B2 @ ctrl.D_c2 @ dC, np.zeros((2, 2))],
+                    [ctrl.B_c2 @ dC, np.zeros((2, 2))],
                 ]
             )
             # dB acts on the plant disturbance block alone, the leading
             # columns of the augmented input; G is not widened
-            expected_dB = np.vstack([t.dB, np.zeros((2, 2))])
-            np.testing.assert_allclose(ta.dA, expected_dA, atol=1e-12)
-            np.testing.assert_allclose(ta.dB, expected_dB, atol=1e-12)
+            expected_dB = np.vstack([dB, np.zeros((2, 2))])
+            np.testing.assert_allclose(dAa, expected_dA, atol=1e-12)
+            np.testing.assert_allclose(dBa, expected_dB, atol=1e-12)
             np.testing.assert_allclose(
-                ta.dC,
-                np.hstack([ctrl.Dt_c2 @ t.dC, np.zeros((2, 2))]),
+                dCa,
+                np.hstack([ctrl.Dt_c2 @ dC, np.zeros((2, 2))]),
                 atol=1e-12,
             )
 

@@ -13,6 +13,7 @@ import qre
 from qre import analysis, cli
 from qre.analysis import SweepResult
 from qre.cli import main
+from qre.errors import QreError
 from qre.presets import (
     Study,
     build_study,
@@ -163,12 +164,14 @@ class TestSynthesizeCommand:
             f"config error: {group} is not physically realizable: "
             "A J + J A^dag + B J B^dag != 0\n"
         )
-        assert not (tmp_path / "strict" / "estimator.json").exists()
+        assert not (tmp_path / "strict").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        assert main(["synthesize", "--config", str(p), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestBodeCommand:
@@ -220,6 +223,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("synthesis error: ARE for X failed")
         assert "delta" not in err
+
+    def test_analysis_failure_exits_4_naming_the_delta(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def failing(*args, **kwargs):
+            raise analysis._at(1, QreError("no peak"))
+
+        monkeypatch.setattr(analysis, "_level_set", failing)
+        rc = main(["sweep", "--config", write_config(tmp_path, series_benchmark_config()),
+                   "--out", str(tmp_path)])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "analysis error: sweep failed at delta=-0.9: no peak\n"
+        )
 
     def test_delta_grid_outside_the_window_exits_2(self, tmp_path, capsys):
         cfg = series_benchmark_config()
@@ -337,6 +353,8 @@ class TestConfigErrors:
             ("synthesize", "mu", [0.1], "mu must be a number, got [0.1]"),
             ("synthesize", "plant.L", [0.1, -0.1, 3],
              "plant.L must have a column per plant state (2), got [0.1, -0.1, 3]"),
+            ("synthesize", "plant.L", [[1, 2], [3]],
+             "plant.L must be a list of numbers, got [[1, 2], [3]]"),
             ("bode", "frequency_grid.min", [0.01],
              "frequency_grid.min must be a number, got [0.01]"),
             ("sweep", "delta_grid.min", None,
@@ -427,6 +445,7 @@ class TestConfigErrors:
         ids=["two-angles", "no-deltas", "negative-frequency", "no-frequencies",
              "grid-not-a-mapping", "angle-not-a-number", "beta-not-a-number",
              "chi-not-a-number", "kappa_c-a-list", "mu-a-list", "L-three-entries",
+             "L-ragged",
              "grid-min-a-list", "grid-min-null", "grid-max-a-string",
              "grid-points-a-bool", "frequency-grid-unknown-key",
              "delta-grid-unknown-key", "gamma-negative", "eps1-zero",
@@ -448,13 +467,14 @@ class TestConfigErrors:
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value,
                                      message):
         cfg = value if key is None else edited(series_benchmark_config(), key, value)
+        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy warning on the way
             rc = main([command, "--config", write_config(tmp_path, cfg),
-                       "--out", str(tmp_path)])
+                       "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not (tmp_path / f"{command}.csv").exists()
+        assert not out.exists()
 
     def test_frequency_grid_that_overflows_exits_2(self, tmp_path, capsys):
         # the largest float as max: the log-spaced grid's last point rounds
@@ -482,7 +502,9 @@ class TestConfigErrors:
 
 class TestReproduceCommand:
     def test_unknown_preset_exits_2(self, tmp_path):
-        assert main(["reproduce", "--preset", "fig99", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["reproduce", "--preset", "fig99", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_series_bode_preset(self, tmp_path, capsys):
         rc = main(["reproduce", "--preset", "fig3", "--out", str(tmp_path)])
@@ -549,6 +571,16 @@ class TestReproduceCommand:
         err = capsys.readouterr().err
         assert "FAIL: coherent peak gain not below classical at every delta" in err
         assert "FAIL: coherent norm spread not below classical spread" in err
+
+    def test_bode_preset_fails_where_coherent_is_not_below(self, tmp_path,
+                                                            monkeypatch, capsys):
+        monkeypatch.setattr(cli, "hinf_norm", lambda loop, allow_unstable: 0.5)
+        rc = main(["reproduce", "--preset", "fig3", "--out", str(tmp_path)])
+        assert rc == 5
+        out, err = capsys.readouterr()
+        assert "all assertions passed" not in out
+        assert err == ("FAIL: coherent peak gain 0.5 not below classical 0.5 "
+                       "at delta=-1.0\n")
 
 
 def run_python(code, *args):

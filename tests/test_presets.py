@@ -1,11 +1,7 @@
 import dataclasses
-import importlib
-import importlib.util
 import re
 import sys
 import warnings
-from functools import partial
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -163,36 +159,3 @@ class TestStudyChannels:
         assert not np.array_equal(
             loop.A, series_study.closed_loop("coherent", 0.5).A
         )
-
-    @pytest.mark.parametrize("name", ["classical", "coherent"])
-    def test_named_closed_loops_are_closed_loop(self, series_study, name):
-        named = getattr(series_study, f"{name}_closed_loop")
-        for make in (named, partial(series_study.closed_loop, name)):
-            loop = make(-0.3)
-            ref = series_study.closed_loop(name, -0.3)
-            for m in ("A", "B", "C", "D"):
-                np.testing.assert_array_equal(getattr(loop, m), getattr(ref, m))
-
-
-def benchmark_spans():
-    """benchmarks/spans.py, loaded from its file (it is not a package)."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
-    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchmarkBindings:
-    def test_every_binding_resolves(self):
-        # the benchmark's tracer reads each binding from its owner's
-        # __dict__; a name missing there fails every traced run
-        spans = benchmark_spans()
-        assert spans.BINDINGS
-        missing = []
-        for owner_path, attr, _ in spans.BINDINGS:
-            importlib.import_module(owner_path.partition(":")[0])
-            bound = spans._resolve(owner_path).__dict__.get(attr)
-            if not callable(bound):
-                missing.append(f"{owner_path}.{attr}")
-        assert missing == []

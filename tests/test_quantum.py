@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import is_doubled, scalar_realizable
 
+from qre.analysis import StateSpace
 from qre.errors import DomainError, NotPhysicallyRealizable, ShapeMismatch
 from qre.presets import build_study, feedback_benchmark_config, series_benchmark_config
 from qre.quantum import (
@@ -20,6 +21,7 @@ from qre.quantum import (
     squeezer_controller,
     squeezer_plant,
 )
+from qre.uncertainty import squeezer_uncertainty
 
 
 def assert_strict_rejects(feedback, group, **params):
@@ -370,3 +372,27 @@ class TestRealizability:
         # with even ports, the all-zero controller meets the condition
         assert CoherentController(**controller_blocks(
             A_c=np.zeros((2, 2)))).physically_realizable
+
+
+@pytest.mark.parametrize("model, name, shape, message", [
+    ("system", "A", (2, 3), "A must be square"),
+    ("system", "B", (3, 1), "B and C must conform with A"),
+    ("system", "C", (1, 3), "B and C must conform with A"),
+    ("system", "D", (2, 1), "D must conform with B and C"),
+    ("plant", "A", (2, 3), "A must be square and conform with B1 and B2"),
+    ("plant", "B2", (3, 0), "A must be square and conform with B1 and B2"),
+    ("plant", "C", (2, 3), "C and L must have a column per state"),
+    ("plant", "L", (1, 3), "C and L must have a column per state"),
+    ("uncertainty", "H1", (2, 3), "H1, H3 and E must conform with the F1 block"),
+    ("uncertainty", "E", (3, 2), "H1, H3 and E must conform with the F1 block"),
+    ("uncertainty", "H2", (2, 3), "H2, G must conform with the F2 block"),
+    ("uncertainty", "G", (3, 2), "H2, G must conform with the F2 block"),
+])
+def test_models_reject_blocks_that_do_not_conform(model, name, shape, message):
+    valid = {
+        "system": StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [[0.0]]),
+        "plant": squeezer_plant(4.0, 4.0, 0.5, [0.1, -0.1]),
+        "uncertainty": squeezer_uncertainty(2.0, 0.1),
+    }[model]
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(valid, **{name: np.zeros(shape)})

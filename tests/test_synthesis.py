@@ -752,7 +752,8 @@ class TestStackedAssembly:
                 assemble(plant, u, np.eye(3), 0.65, eps, eps)
             # the feedback benchmark's lifted model has four states
             with pytest.raises(ShapeMismatch, match=r"^H1 has shape \(4, 4\)"):
-                assemble(plant, feedback_study.lifted, S, np.nan, eps, eps)
+                assemble(plant, feedback_study.channels["coherent"][1], S, np.nan,
+                         eps, eps)
 
 
 class TestGridSearchBlocks:
@@ -811,6 +812,45 @@ class TestGridSearchBlocks:
         assert (e1, e2) == (0.19, 0.81)
         with pytest.raises(QreError, match="no feasible"):
             search([np.nan, 1.0, 1.5])
+
+    def test_a_point_whose_objective_raises_is_skipped(self, series_parts):
+        plant, u, S = series_parts
+
+        def search(objective):
+            return eps_grid_search(lambda e1, e2: assemble(plant, u, S, 0.65, e1, e2),
+                                   objective)
+
+        best = search(lambda est: est.coupling_condition)
+
+        def at_best(est):
+            return (est.eps1, est.eps2) == best[:2]
+
+        def refused(est):
+            if at_best(est):
+                raise QreError("refused")
+            return est.coupling_condition
+
+        got = search(refused)
+        assert got[:2] != best[:2] and got[2] >= best[2]
+        # skipped as a point whose objective is not finite is
+        assert got[:3] == search(
+            lambda est: np.inf if at_best(est) else est.coupling_condition
+        )[:3]
+
+    def test_an_outcome_that_is_no_qre_error_propagates(self, series_parts,
+                                                        monkeypatch):
+        plant, u, S = series_parts
+        stacked = synthesis._synthesize
+
+        def failing(s, **kwargs):
+            out = stacked(s, **kwargs)
+            out[3] = np.linalg.LinAlgError("stacked solve failed")
+            return out
+
+        monkeypatch.setattr(synthesis, "_synthesize", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="stacked solve failed"):
+            eps_grid_search(lambda e1, e2: assemble(plant, u, S, 0.65, e1, e2),
+                            lambda est: est.coupling_condition)
 
 
 def assert_matches_complex_solve(s, **kwargs):

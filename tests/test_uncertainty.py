@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from qre.errors import DomainError
-from qre.uncertainty import evaluate_deltas, squeezer_uncertainty
+from qre.uncertainty import delta_powers, squeezer_uncertainty
+
+
+def perturbations(u, deltas):
+    """dA, dB and dC of ``u`` at each delta of a grid, as (K, ., .) stacks:
+    ``u.coefficients()`` evaluated with ``delta_powers``."""
+    powers, *stacks = u.coefficients()
+    x = delta_powers(powers, deltas)
+    return [np.einsum("kp,pij->kij", x, c) for c in stacks]
 
 
 def closed_form_deltas(alpha, mu, delta):
@@ -29,9 +37,8 @@ class TestSqueezerUncertainty:
 
     def test_zero_mu_is_nominal(self):
         u = squeezer_uncertainty(2.0, 0.0)
-        for d in np.linspace(-1, 1, 11):
-            t = evaluate_deltas(u, d)
-            assert np.all(t.dA == 0) and np.all(t.dB == 0) and np.all(t.dC == 0)
+        dA, dB, dC = perturbations(u, np.linspace(-1, 1, 11))
+        assert np.all(dA == 0) and np.all(dB == 0) and np.all(dC == 0)
 
     def test_feedback_benchmark_alpha(self):
         u = squeezer_uncertainty(np.sqrt(2.0), 0.1)
@@ -44,40 +51,38 @@ class TestSqueezerUncertainty:
             squeezer_uncertainty(-1.0, 0.1)
 
 
-class TestEvaluateDeltas:
+class TestPerturbations:
     def test_zero_delta(self):
         u = squeezer_uncertainty(2.0, 0.1)
-        t = evaluate_deltas(u, 0.0)
-        assert np.all(t.dA == 0) and np.all(t.dB == 0) and np.all(t.dC == 0)
+        dA, dB, dC = perturbations(u, [0.0])
+        assert np.all(dA == 0) and np.all(dB == 0) and np.all(dC == 0)
 
     def test_design_point_values(self):
-        t = evaluate_deltas(squeezer_uncertainty(2.0, 0.1), -1.0)
-        np.testing.assert_allclose(t.dA, 0.38 * np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(t.dB, 0.2 * np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(t.dC, -0.2 * np.eye(2), atol=1e-14)
+        (dA,), (dB,), (dC,) = perturbations(squeezer_uncertainty(2.0, 0.1), [-1.0])
+        np.testing.assert_allclose(dA, 0.38 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(dB, 0.2 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(dC, -0.2 * np.eye(2), atol=1e-14)
 
     def test_factorization_matches_closed_form(self):
         u = squeezer_uncertainty(2.0, 0.1)
-        for d in np.linspace(-1, 1, 101):
-            t = evaluate_deltas(u, d)
-            dA, dB, dC = closed_form_deltas(2.0, 0.1, d)
-            np.testing.assert_allclose(t.dA, dA, atol=1e-13)
-            np.testing.assert_allclose(t.dB, dB, atol=1e-13)
-            np.testing.assert_allclose(t.dC, dC, atol=1e-13)
+        grid = np.linspace(-1, 1, 101)
+        for d, *got in zip(grid, *perturbations(u, grid)):
+            for m, want in zip(got, closed_form_deltas(2.0, 0.1, d)):
+                np.testing.assert_allclose(m, want, atol=1e-13)
 
     def test_deltas_are_real_multiples_of_identity(self):
         u = squeezer_uncertainty(2.0, 0.1)
-        for d in np.linspace(-1, 1, 21):
-            t = evaluate_deltas(u, d)
-            for m in (t.dA, t.dB, t.dC):
+        for stack in perturbations(u, np.linspace(-1, 1, 21)):
+            for m in stack:
                 assert np.abs(m.imag).max() < 1e-15
                 np.testing.assert_allclose(m, m[0, 0] * np.eye(2), atol=1e-14)
 
     def test_out_of_window(self):
+        u = squeezer_uncertainty(2.0, 0.1)
         with pytest.raises(DomainError):
-            evaluate_deltas(squeezer_uncertainty(2.0, 0.1), 1.5)
+            perturbations(u, [1.5])
         with pytest.raises(DomainError, match="delta=nan outside"):
-            evaluate_deltas(squeezer_uncertainty(2.0, 0.1), float("nan"))
+            perturbations(u, [float("nan")])
 
 
 class TestExponents:
@@ -92,14 +97,14 @@ class TestExponents:
         u = dataclasses.replace(squeezer_uncertainty(2.0, 0.1), f1_exponents=f1,
                                 f2_exponents=f2, H2=rng.standard_normal((2, len(f2))),
                                 G=rng.standard_normal((len(f2), 2)))
-        for d in np.linspace(-1, 1, 41):
+        grid = np.linspace(-1, 1, 41)
+        for d, dA, dB, dC in zip(grid, *perturbations(u, grid)):
             f = [np.power(d, np.array(e, dtype=float)) for e in (f1, f2)]
             assert np.abs(np.concatenate(f)).max() <= 1
             F1, F2 = map(np.diag, f)
-            t = evaluate_deltas(u, d)
-            np.testing.assert_allclose(t.dA, u.H1 @ F1 @ u.E, atol=1e-14)
-            np.testing.assert_allclose(t.dB, u.H2 @ F2 @ u.G, atol=1e-14)
-            np.testing.assert_allclose(t.dC, u.H3 @ F1 @ u.E, atol=1e-14)
+            np.testing.assert_allclose(dA, u.H1 @ F1 @ u.E, atol=1e-14)
+            np.testing.assert_allclose(dB, u.H2 @ F2 @ u.G, atol=1e-14)
+            np.testing.assert_allclose(dC, u.H3 @ F1 @ u.E, atol=1e-14)
 
     @pytest.mark.parametrize("f1, f2, bad", [
         ((1, 1, -1, 2), (1, 1), "f1_exponents"),
